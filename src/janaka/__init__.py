@@ -8,7 +8,6 @@ from .formulas import (
     Formula,
     Globally,
     Implies,
-    IndexedTree,
     Next,
     Not,
     Or,
@@ -18,8 +17,6 @@ from .formulas import (
     format_formula,
     parse_formula,
     to_nnf,
-    tree_decode,
-    tree_index,
 )
 from .semantics import (
     DISCOUNTED,
@@ -37,10 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "Atom", "DISCOUNTED", "Finally", "Formula", "Globally", "Implies",
-    "IndexedTree", "JanakaError", "Next", "Not", "Or", "PropositionSet",
+    "JanakaError", "Next", "Not", "Or", "PropositionSet",
     "ROBUST", "Sample", "SemanticsParams", "Trace", "Until", "Valuation",
     "discounted_value", "eval_qualitative", "format_formula", "generate_traces",
     "parse_formula", "parse_traces", "robust_value", "sample_fitness",
-    "satisfies_all", "serialize_sample", "to_nnf", "tree_decode", "tree_index",
+    "satisfies_all", "serialize_sample", "to_nnf",
     "__version__",
 ]

@@ -110,7 +110,6 @@ def _budget(args, config) -> SearchBudget:
     return SearchBudget(
         time_limit=float(_setting(args, config, "time-limit", 60.0, float)),
         node_limit=int(_setting(args, config, "node-limit", 1_000_000, int)),
-        parallelism=int(_setting(args, config, "parallelism", 1, int)),
     )
 
 
@@ -207,7 +206,7 @@ def cmd_export_milp(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    suite = bench_run(args.suite, out_dir=args.out, parallelism=args.parallelism)
+    suite = bench_run(args.suite, out_dir=args.out)
     sys.stdout.write(format_bench_table(suite) + "\n")
     return EXIT_OK if suite["ok"] else EXIT_BEST_EFFORT
 
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--seed", type=int, default=None)
     mine.add_argument("--time-limit", type=float, default=None)
     mine.add_argument("--node-limit", type=int, default=None)
-    mine.add_argument("--parallelism", type=int, default=None)
     mine.add_argument("--n-candidates", type=int, default=None)
     mine.add_argument("--mode", choices=["oneshot", "multishot"], default=None)
     mine.add_argument("--template-count", type=int, default=None)
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--kappa", type=float, default=0.5)
     rep.add_argument("--time-limit", type=float, default=None)
     rep.add_argument("--node-limit", type=int, default=None)
-    rep.add_argument("--parallelism", type=int, default=None)
     rep.add_argument("--config", default=None)
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_repair)
@@ -298,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True,
                        help="suite directory, or a bundled suite name (e.g. table1)")
     bench.add_argument("--out", default=None, help="per-case report directory")
-    bench.add_argument("--parallelism", type=int, default=1)
     bench.set_defaults(func=cmd_bench)
 
     return top

@@ -1,4 +1,5 @@
-"""LTL abstract syntax, concrete syntax, and qualitative finite-trace satisfaction.
+"""LTL concrete syntax, negation normal form and qualitative finite-trace
+satisfaction. The node classes and the operator table live in :mod:`.ops`.
 
 Grammar (whitespace insignificant)::
 
@@ -14,6 +15,10 @@ Precedence: unary > U > & > | > ->, with U and -> right-associative.
 
 The reserved atom ``true`` is satisfied by every state and never needs to be
 declared in a :class:`PropositionSet`.
+
+Template text (:func:`janaka.templates.parse_template`) is parsed by the same
+parser in its hole mode, which adds the hole tokens ``?``, ``?<k>`` and the
+allowed-set syntax ``{l1,...}`` and restricts negation to atoms.
 """
 
 from __future__ import annotations
@@ -23,21 +28,34 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DepthExceededError,
     EmptyInputError,
     FormulaSyntaxError,
     UnknownAtomError,
     UnsupportedNegationError,
 )
-
-TRUE_ATOM = "true"
-
-# Operator label tokens, shared with the template / repair machinery.
-AND, OR, IMPLIES, UNTIL = "&", "|", "->", "U"
-GLOBALLY, FINALLY, NEXT = "G", "F", "X"
-BINARY_OPS = (AND, OR, IMPLIES, UNTIL)
-UNARY_OPS = (GLOBALLY, FINALLY, NEXT)
-OPERATORS = BINARY_OPS + UNARY_OPS
+from .ops import (  # noqa: F401  (the node classes are re-exported)
+    AND,
+    IMPLIES,
+    NEGATION,
+    NOT,
+    OPS,
+    OR,
+    TRUE_ATOM,
+    UNTIL,
+    And,
+    Atom,
+    Finally,
+    Formula,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Until,
+    children,
+    evaluate,
+    op_of,
+)
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -72,80 +90,6 @@ class PropositionSet:
 
     def __len__(self) -> int:
         return len(self.names)
-
-
-class _Node:
-    """Mixin giving every formula node the canonical text as str()."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return format_formula(self)
-
-
-@dataclass(frozen=True)
-class Atom(_Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class Not(_Node):
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Next(_Node):
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Finally(_Node):
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Globally(_Node):
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Until(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Atom | Not | And | Or | Implies | Next | Finally | Globally | Until
-
-_BINARY_TYPES = {And: AND, Or: OR, Implies: IMPLIES, Until: UNTIL}
-_UNARY_TYPES = {Globally: GLOBALLY, Finally: FINALLY, Next: NEXT}
-_BINARY_BY_OP = {op: typ for typ, op in _BINARY_TYPES.items()}
-_UNARY_BY_OP = {op: typ for typ, op in _UNARY_TYPES.items()}
-
-
-def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, (Not, Next, Finally, Globally)):
-        return (f.child,)
-    return (f.left, f.right)
 
 
 def is_literal(f: Formula) -> bool:
@@ -185,14 +129,14 @@ def atoms_of(f: Formula) -> set[str]:
 
 def format_formula(f: Formula) -> str:
     """Fully parenthesized canonical text; round-trips through parse_formula."""
-    if isinstance(f, Atom):
+    op = op_of(f)
+    if op.arity == 0:
         return f.name
-    if isinstance(f, Not):
-        return "!" + format_formula(f.child)
-    if type(f) in _UNARY_TYPES:
-        return f"{_UNARY_TYPES[type(f)]}({format_formula(f.child)})"
-    op = _BINARY_TYPES[type(f)]
-    return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
+    if op is NOT:
+        return NEGATION + format_formula(f.child)
+    if op.arity == 1:
+        return f"{op.label}({format_formula(f.child)})"
+    return f"({format_formula(f.left)} {op.label} {format_formula(f.right)})"
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -200,13 +144,20 @@ def format_formula(f: Formula) -> str:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
+  | (?P<region>\?<\d+>)
+  | (?P<hole>\?)
   | (?P<arrow>->)
   | (?P<op>[&|!()])
+  | (?P<set>[{},])
   | (?P<modal>[GFXU])
   | (?P<atom>[a-z][a-z0-9_]*)
     """,
     re.VERBOSE,
 )
+_HOLE_KINDS = ("region", "hole", "set")  # tokens of the hole mode only
+
+# binary operators from the loosest to the tightest; True: right-associative
+_LEVELS = ((IMPLIES, True), (OR, False), (AND, False), (UNTIL, True))
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -215,11 +166,15 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     Kinds: 'arrow', 'op' (one of ``& | ! ( )``), 'modal' (G F X U), 'atom'.
     Raises FormulaSyntaxError on any character outside the grammar.
     """
+    return _tokens(text, holes=False)
+
+
+def _tokens(text: str, holes: bool) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m:
+        if not m or (not holes and m.lastgroup in _HOLE_KINDS):
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
@@ -227,18 +182,30 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+@dataclass(frozen=True)
+class HoleNode:
+    """A hole in template text: a label hole over `children`, restricted to
+    `allowed` when given, or (region > 0) a free all-hole region that deep."""
+
+    allowed: tuple[str, ...] | None = None
+    children: tuple = ()
+    region: int = 0
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], props: PropositionSet | None, length: int):
-        self.tokens = tokens
+    def __init__(self, text: str, props: PropositionSet | None, holes: bool):
+        self.tokens = _tokens(text, holes)
         self.props = props
+        self.holes = holes
         self.i = 0
-        self.length = length
+        self.length = len(text)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next_pos(self) -> int:
-        return self.tokens[self.i][2] if self.i < len(self.tokens) else self.length
+    def peek_text(self) -> str | None:
+        tok = self.peek()
+        return tok[1] if tok else None
 
     def take(self) -> tuple[str, str, int]:
         tok = self.peek()
@@ -252,68 +219,98 @@ class _Parser:
         if tok[1] != text:
             raise FormulaSyntaxError(f"expected {text!r}, found {tok[1]!r}", tok[2])
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_or()
+    def parse(self):
+        node = self.parse_level(0)
         tok = self.peek()
-        if tok and tok[1] == IMPLIES:
-            self.take()
-            return Implies(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while (tok := self.peek()) and tok[1] == OR:
-            self.take()
-            node = Or(node, self.parse_and())
+        if tok is not None:
+            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
-    def parse_and(self) -> Formula:
-        node = self.parse_until()
-        while (tok := self.peek()) and tok[1] == AND:
+    def parse_level(self, k: int):
+        if k == len(_LEVELS):
+            return self.parse_unary()
+        label, right_assoc = _LEVELS[k]
+        node = self.parse_level(k + 1)
+        while self.peek_text() == label:
             self.take()
-            node = And(node, self.parse_until())
+            if right_assoc:
+                return OPS[label].cls(node, self.parse_level(k))
+            node = OPS[label].cls(node, self.parse_level(k + 1))
         return node
 
-    def parse_until(self) -> Formula:
-        left = self.parse_unary()
-        tok = self.peek()
-        if tok and tok[1] == UNTIL:
-            self.take()
-            return Until(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.take()
-        kind, text, pos = tok
-        if text == "!":
-            return Not(self.parse_unary())
-        if text == GLOBALLY:
-            return Globally(self.parse_unary())
-        if text == FINALLY:
-            return Finally(self.parse_unary())
-        if text == NEXT:
-            return Next(self.parse_unary())
+    def parse_unary(self):
+        kind, text, pos = self.take()
+        if text == NEGATION and self.holes:
+            kind, text, pos = self.take()
+            if kind != "atom":
+                raise FormulaSyntaxError("template negation applies to atoms only", pos)
+            return Not(Atom(text))
+        op = OPS.get(text)
+        if op is not None and op.arity == 1:
+            return op.cls(self.parse_unary())
         if text == "(":
-            inner = self.parse_formula()
+            inner = self.parse_level(0)
+            if (tok := self.peek()) and tok[0] == "hole":  # (A ? B)
+                self.take()
+                inner = HoleNode(self.parse_allowed(), (inner, self.parse_level(0)))
             self.expect(")")
             return inner
+        if kind == "region":
+            depth = int(text[2:-1])
+            if depth < 1:
+                raise FormulaSyntaxError("region depth must be >= 1", pos)
+            return HoleNode(region=depth)
+        if kind == "hole":
+            allowed = self.parse_allowed()
+            if self.peek_text() == "(":
+                self.take()
+                child = self.parse_level(0)
+                self.expect(")")
+                return HoleNode(allowed, (child,))
+            if allowed is not None:
+                raise FormulaSyntaxError("restricted hole needs a child", pos)
+            return HoleNode(region=1)
         if kind == "atom":
             if text != TRUE_ATOM and self.props is not None and text not in self.props:
                 raise UnknownAtomError(text, list(self.props))
             return Atom(text)
         raise FormulaSyntaxError(f"unexpected token {text!r}", pos)
 
+    def parse_allowed(self) -> tuple[str, ...] | None:
+        """The allowed-label set after a hole, None when there is none."""
+        if self.peek_text() != "{":
+            return None
+        self.take()
+        labels = []
+        while True:
+            tok = self.take()
+            if tok[0] not in ("modal", "arrow", "atom") and tok[1] not in (AND, OR, NEGATION):
+                raise FormulaSyntaxError(f"bad label {tok[1]!r} in allowed set", tok[2])
+            label = tok[1]
+            if label == NEGATION:
+                atom = self.take()
+                if atom[0] != "atom":
+                    raise FormulaSyntaxError("'!' in allowed set needs an atom", atom[2])
+                label = NEGATION + atom[1]
+            labels.append(label)
+            tok = self.take()
+            if tok[1] == "}":
+                return tuple(labels)
+            if tok[1] != ",":
+                raise FormulaSyntaxError(f"expected ',' or '}}', found {tok[1]!r}", tok[2])
+
 
 def parse_formula(text: str, props: PropositionSet | None = None) -> Formula:
     """Parse formula text; atoms are checked against `props` when given."""
     if not text or not text.strip():
         raise EmptyInputError("empty formula text")
-    parser = _Parser(tokenize(text), props, len(text))
-    f = parser.parse_formula()
-    tok = parser.peek()
-    if tok is not None:
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return f
+    return _Parser(text, props, holes=False).parse()
+
+
+def parse_holes(text: str):
+    """Parse template text in the hole mode: a formula tree whose holes are
+    :class:`HoleNode` objects. :func:`janaka.templates.parse_template` places it."""
+    return _Parser(text, None, holes=True).parse()
 
 
 # --- negation normal form ---------------------------------------------------
@@ -349,9 +346,7 @@ def to_nnf(f: Formula) -> Formula:
         raise UnsupportedNegationError(
             f"cannot negate {format_formula(g)}: the grammar has no Release operator"
         )
-    if type(f) in _UNARY_TYPES:
-        return type(f)(to_nnf(f.child))
-    return type(f)(to_nnf(f.left), to_nnf(f.right))
+    return type(f)(*(to_nnf(c) for c in children(f)))
 
 
 # --- qualitative finite-trace satisfaction ----------------------------------
@@ -367,54 +362,7 @@ def satisfaction_vector(f: Formula, states: Sequence[frozenset]) -> list[bool]:
     X is strong next (false at the last position); U needs a witness inside
     the word.
     """
-    n = len(states)
-    if isinstance(f, Atom):
-        if f.name == TRUE_ATOM:
-            return [True] * n
-        return [f.name in s for s in states]
-    if isinstance(f, Not):
-        return [not v for v in satisfaction_vector(f.child, states)]
-    if isinstance(f, And):
-        lv = satisfaction_vector(f.left, states)
-        rv = satisfaction_vector(f.right, states)
-        return [a and b for a, b in zip(lv, rv)]
-    if isinstance(f, Or):
-        lv = satisfaction_vector(f.left, states)
-        rv = satisfaction_vector(f.right, states)
-        return [a or b for a, b in zip(lv, rv)]
-    if isinstance(f, Implies):
-        lv = satisfaction_vector(f.left, states)
-        rv = satisfaction_vector(f.right, states)
-        return [(not a) or b for a, b in zip(lv, rv)]
-    if isinstance(f, Next):
-        cv = satisfaction_vector(f.child, states)
-        return [cv[i + 1] if i + 1 < n else False for i in range(n)]
-    if isinstance(f, Finally):
-        cv = satisfaction_vector(f.child, states)
-        out = [False] * n
-        acc = False
-        for i in range(n - 1, -1, -1):
-            acc = acc or cv[i]
-            out[i] = acc
-        return out
-    if isinstance(f, Globally):
-        cv = satisfaction_vector(f.child, states)
-        out = [False] * n
-        acc = True
-        for i in range(n - 1, -1, -1):
-            acc = acc and cv[i]
-            out[i] = acc
-        return out
-    if isinstance(f, Until):
-        lv = satisfaction_vector(f.left, states)
-        rv = satisfaction_vector(f.right, states)
-        out = [False] * n
-        acc = False
-        for i in range(n - 1, -1, -1):
-            acc = rv[i] or (lv[i] and acc)
-            out[i] = acc
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+    return evaluate(f, states, "qualitative")
 
 
 def eval_qualitative(f: Formula, w) -> bool:
@@ -425,100 +373,8 @@ def eval_qualitative(f: Formula, w) -> bool:
     return satisfaction_vector(f, states)[0]
 
 
-# --- indexed complete-binary-tree encoding ----------------------------------
-
-UNUSED = None  # slot marker in IndexedTree.slots
-
-
-@dataclass(frozen=True)
-class IndexedTree:
-    """Complete-binary-tree encoding of a formula.
-
-    Slots are indexed 1..2^depth-1 (root 1, children of i at 2i and 2i+1);
-    each entry is a label string (an operator from OPERATORS, or a literal
-    like ``p`` / ``!p``) or UNUSED. The only child of a unary operator sits
-    in the left slot.
-    """
-
-    depth: int
-    slots: tuple
-
-    def label(self, i: int):
-        return self.slots[i - 1] if 1 <= i <= len(self.slots) else UNUSED
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on violation."""
-        if self.depth < 1 or len(self.slots) != 2 ** self.depth - 1:
-            raise ValueError("slot array does not match depth bound")
-        if self.label(1) is UNUSED:
-            raise ValueError("root slot must be labeled")
-        for i in range(1, len(self.slots) + 1):
-            lbl = self.label(i)
-            left, right = self.label(2 * i), self.label(2 * i + 1)
-            if lbl is UNUSED:
-                if left is not UNUSED or right is not UNUSED:
-                    raise ValueError(f"unused slot {i} has labeled children")
-            elif lbl in BINARY_OPS:
-                if left is UNUSED or right is UNUSED:
-                    raise ValueError(f"binary slot {i} is missing a child")
-            elif lbl in UNARY_OPS:
-                if left is UNUSED or right is not UNUSED:
-                    raise ValueError(f"unary slot {i} must have exactly a left child")
-            else:
-                if left is not UNUSED or right is not UNUSED:
-                    raise ValueError(f"literal slot {i} has children")
-
-
-def literal_label(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not) and isinstance(f.child, Atom):
-        return "!" + f.child.name
-    raise ValueError(f"not a literal: {format_formula(f)}")
-
-
-def tree_index(f: Formula, depth: int) -> IndexedTree:
-    """Embed f into an IndexedTree of the given depth bound."""
-    if formula_depth(f) > depth:
-        raise DepthExceededError(
-            f"formula depth {formula_depth(f)} exceeds bound {depth}"
-        )
-    slots = [UNUSED] * (2 ** depth - 1)
-
-    def place(g: Formula, i: int) -> None:
-        if is_literal(g):
-            slots[i - 1] = literal_label(g)
-            return
-        if isinstance(g, Not):
-            raise UnsupportedNegationError(
-                "only literal negation fits the tree encoding; normalize first"
-            )
-        if type(g) in _UNARY_TYPES:
-            slots[i - 1] = _UNARY_TYPES[type(g)]
-            place(g.child, 2 * i)
-            return
-        slots[i - 1] = _BINARY_TYPES[type(g)]
-        place(g.left, 2 * i)
-        place(g.right, 2 * i + 1)
-
-    place(f, 1)
-    return IndexedTree(depth, tuple(slots))
-
-
 def decode_label(label: str) -> Formula:
     """Literal label text ('p' or '!p') to its formula."""
     if label.startswith("!"):
         return Not(Atom(label[1:]))
     return Atom(label)
-
-
-def tree_decode(tree: IndexedTree, i: int = 1) -> Formula:
-    """Inverse of tree_index on its image."""
-    lbl = tree.label(i)
-    if lbl is UNUSED:
-        raise ValueError(f"slot {i} is unused")
-    if lbl in _BINARY_BY_OP:
-        return _BINARY_BY_OP[lbl](tree_decode(tree, 2 * i), tree_decode(tree, 2 * i + 1))
-    if lbl in _UNARY_BY_OP:
-        return _UNARY_BY_OP[lbl](tree_decode(tree, 2 * i))
-    return decode_label(lbl)

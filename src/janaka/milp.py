@@ -16,9 +16,11 @@ score product as a quadratic constraint row.
 
 Two solution paths are provided for cross-checks: `lp_optimum` parses the
 emitted subset back and solves it with scipy's MILP solver (linear models
-only, i.e. the discounted encoding), and `lp_enumerate_optimum` rebuilds the
-template from the encoded binaries and exhaustively scores every structural
-assignment, as a solver-free fallback.
+only: it refuses the robust encoding's quadratic rows), and
+`lp_enumerate_optimum` rebuilds the template from the encoded binaries and
+exhaustively scores every structural assignment, as a solver-free fallback.
+The fallback and `template_from_lp` read only the bounds and binaries, so
+they serve robust models as well as discounted ones.
 """
 
 from __future__ import annotations
@@ -26,39 +28,13 @@ from __future__ import annotations
 import io
 
 from .errors import DepthExceededError, UnsupportedForExportError
-from .formulas import BINARY_OPS, TRUE_ATOM, UNARY_OPS
-from .semantics import (
-    DISCOUNTED,
-    ROBUST,
-    SemanticsParams,
-    robust_upper_bound,
-    value_of,
-)
+from .formulas import TRUE_ATOM
+from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code, literal_values
+from .semantics import DISCOUNTED, SemanticsParams, value_of, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
 EPS = 1e-9
-
-_CODES = {"&": "and", "|": "or", "->": "imp", "U": "u", "G": "g", "F": "f", "X": "x"}
-_LABELS = {v: k for k, v in _CODES.items()}
-
-
-def _code(label: str) -> str:
-    if label in _CODES:
-        return _CODES[label]
-    if label.startswith("!"):
-        return "nlit_" + label[1:]
-    return "lit_" + label
-
-
-def _label_from_code(code: str) -> str:
-    if code in _LABELS:
-        return _LABELS[code]
-    if code.startswith("nlit_"):
-        return "!" + code[5:]
-    if code.startswith("lit_"):
-        return code[4:]
-    raise ValueError(f"unknown label code {code!r}")
 
 
 def _fmt(x: float) -> str:
@@ -126,55 +102,26 @@ class _Encoder:
         self.p = params
         self.m = template.slot_map
         self.e = _Emitter()
-        self.avail = {}
-        for i in sorted(self.m, reverse=True):
-            self.avail[i] = 1 + max(self.avail.get(2 * i, 0), self.avail.get(2 * i + 1, 0))
-        self.labels: dict[int, list[str]] = {i: self._labels_for(i) for i in self.m}
+        self.labels: dict[int, list[str]] = {}
+        for i, slot in template.slots:
+            if isinstance(slot, Hole):
+                self.labels[i] = template.labels_for(i, sample.props)
+            elif slot.label.lstrip("!") == TRUE_ATOM:
+                raise UnsupportedForExportError("the constraint alphabet has no 'true' label")
+            else:
+                self.labels[i] = [slot.label]
         self.signs: dict[tuple, str] = {}
-
-    def _literals(self):
-        out = []
-        for name in self.sample.props:
-            out.extend((name, "!" + name))
-        return out
-
-    def _labels_for(self, i: int) -> list[str]:
-        slot = self.m[i]
-        left, right = self.m.get(2 * i), self.m.get(2 * i + 1)
-        left_open = left is None or isinstance(left, Hole)
-        right_open = right is None or isinstance(right, Hole)
-        if isinstance(slot, Fixed):
-            name = slot.label.lstrip("!")
-            if name == TRUE_ATOM:
-                raise UnsupportedForExportError(
-                    "the constraint alphabet has no 'true' label"
-                )
-            return [slot.label]
-        out = []
-        for op in BINARY_OPS:
-            if left is not None and right is not None:
-                out.append(op)
-        for op in UNARY_OPS:
-            if left is not None and right_open:
-                out.append(op)
-        if left_open and right_open:
-            out.extend(self._literals())
-        if slot.allowed is not None:
-            out = [lbl for lbl in out if lbl in slot.allowed]
-        return out
 
     # --- variable helpers ---------------------------------------------------
 
     def x(self, i: int, label: str) -> str:
-        return f"x_{i}_{_code(label)}"
+        return f"x_{i}_{label_code(label)}"
 
     def y(self, i: int, t: int, tr: int) -> str:
         return f"y_{i}_{t}_{tr}"
 
     def ybound(self, i: int, t: int, n: int) -> tuple[float, float]:
-        if self.p.kind == DISCOUNTED:
-            return 0.0, 1.0
-        return -1.0, robust_upper_bound(self.avail[i], n - t, self.p)
+        return value_range(self.t.heights[i], n - t, self.p)
 
     def absbound(self, i: int, t: int, n: int) -> float:
         lo, hi = self.ybound(i, t, n)
@@ -282,13 +229,8 @@ class _Encoder:
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
         m = 2.0
-        if lbl not in _CODES:  # literal
-            neg = lbl.startswith("!")
-            name = lbl.lstrip("!")
-            c = 1.0 if name in trace.states[t] else 0.0
-            if neg:
-                c = 1.0 - c
-            e.eq_gated(yv, [], c, [xv], m)
+        if lbl not in OPS:  # literal
+            e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m)
             return
         if lbl == "X":
             if t + 1 < n:
@@ -297,7 +239,7 @@ class _Encoder:
                 e.eq_gated(yv, [], 0.0, [xv], m)
             return
         if lbl in ("&", "|"):
-            w = f"w_{i}_{t}_{tr}_{_code(lbl)}"
+            w = f"w_{i}_{t}_{tr}_{label_code(lbl)}"
             kind = "min" if lbl == "&" else "max"
             self._minmax(
                 w,
@@ -385,13 +327,8 @@ class _Encoder:
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
         m_i = self.absbound(i, t, n) + 1.0
-        if lbl not in _CODES:  # literal
-            neg = lbl.startswith("!")
-            name = lbl.lstrip("!")
-            c = 1.0 if name in trace.states[t] else -1.0
-            if neg:
-                c = -c
-            e.eq_gated(yv, [], c, [xv], m_i)
+        if lbl not in OPS:  # literal
+            e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m_i)
             return
         if lbl == "X":
             if t + 1 >= n:
@@ -441,7 +378,7 @@ class _Encoder:
                 avg_terms = [(-p.beta / 2, yl), (p.beta / 2, yr)]
                 max_terms = [[(-1.0, yl)], [(1.0, yr)]]
             e.eq_gated(yv, avg_terms, 0.0, [xv, gate], m)
-            w = f"w_{i}_{t}_{tr}_{_code(lbl)}"
+            w = f"w_{i}_{t}_{tr}_{label_code(lbl)}"
             self._minmax(w, max_terms, [0.0, 0.0], "max", m)
             ngate = self.fresh_binary(f"n{gate}")
             e.row([(1.0, ngate), (1.0, gate)], "=", 1.0)
@@ -528,12 +465,13 @@ def export_milp(template: Template, sample: Sample, params: SemanticsParams, d: 
 
 
 def _parse_lp(text: str):
-    """Parse the LP subset emitted above (linear rows only)."""
+    """Parse the LP subset emitted above; quadratic rows are counted, not read."""
     section = None
     obj: dict[str, float] = {}
     rows = []  # (coeffs dict, op, rhs)
     bounds: dict[str, list] = {}
     binaries: list[str] = []
+    quadratic = 0
     for raw in text.splitlines():
         line = raw.split("\\")[0].strip()
         if not line:
@@ -559,7 +497,8 @@ def _parse_lp(text: str):
                 obj[var] = obj.get(var, 0.0) + 1.0
         elif section == "rows":
             if "[" in line:
-                raise UnsupportedForExportError("quadratic rows need a QP solver")
+                quadratic += 1
+                continue
             body = line.split(":", 1)[1].strip()
             for op in ("<=", ">=", "="):
                 if f" {op} " in body:
@@ -594,7 +533,7 @@ def _parse_lp(text: str):
                 bounds[var] = [val, val]
         elif section == "bin":
             binaries.extend(line.split())
-    return obj, rows, bounds, binaries
+    return obj, rows, bounds, binaries, quadratic
 
 
 def lp_optimum(lp_text: str) -> float:
@@ -604,7 +543,9 @@ def lp_optimum(lp_text: str) -> float:
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import lil_matrix
 
-    obj, rows, bounds, binaries = _parse_lp(lp_text)
+    obj, rows, bounds, binaries, quadratic = _parse_lp(lp_text)
+    if quadratic:
+        raise UnsupportedForExportError("quadratic rows need a QP solver")
     names: list[str] = []
     index: dict[str, int] = {}
 
@@ -659,17 +600,17 @@ def lp_optimum(lp_text: str) -> float:
 
 def template_from_lp(lp_text: str) -> Template:
     """Rebuild the encoded template from the model's structural binaries."""
-    _, _, bounds, binaries = _parse_lp(lp_text)
+    _, _, bounds, binaries, _ = _parse_lp(lp_text)
     candidates: dict[int, list[str]] = {}
     fixed: dict[int, str] = {}
     for var, (lo, hi) in bounds.items():
         if var.startswith("x_") and lo == hi == 1.0:
             _, i, code = var.split("_", 2)
-            fixed[int(i)] = _label_from_code(code)
+            fixed[int(i)] = code_label(code)
     for var in binaries:
         if var.startswith("x_"):
             _, i, code = var.split("_", 2)
-            candidates.setdefault(int(i), []).append(_label_from_code(code))
+            candidates.setdefault(int(i), []).append(code_label(code))
     slots: dict[int, object] = {}
     for i, lbl in fixed.items():
         slots[i] = Fixed(lbl)

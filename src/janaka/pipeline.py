@@ -14,7 +14,6 @@ import configparser
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,10 +42,9 @@ from .semantics import (
     DISCOUNTED,
     ROBUST,
     SemanticsParams,
-    discounted_value,
-    robust_value,
     sample_fitness,
     satisfies_all,
+    value_of,
 )
 from .templates import GTEMP, RANDOM, STRATEGIES, WITH_GF, make_templates
 from .traces import Sample, generate_traces, infer_props, parse_traces
@@ -141,7 +139,6 @@ def _params_echo(cfg: RunConfig) -> dict:
         "budget": {
             "time_limit": cfg.budget.time_limit,
             "node_limit": cfg.budget.node_limit,
-            "parallelism": cfg.budget.parallelism,
         },
         "template_count": cfg.template_count,
         "max_retries": cfg.max_retries,
@@ -263,7 +260,6 @@ def janaka_run(
             budget=SearchBudget(
                 time_limit=max(time_left, 0.01),
                 node_limit=max(nodes_left, 1),
-                parallelism=cfg.budget.parallelism,
             ),
         )
         outcome.strategy = strategy
@@ -311,10 +307,9 @@ def eval_formula(
     f = parse_formula(formula_text, sample.props)
 
     def table(p: SemanticsParams) -> dict:
-        g = f if p.kind == DISCOUNTED or is_nnf(f) else to_nnf(f)
         rows = []
         for w in sample.traces:
-            v = robust_value(g, w, p) if p.kind == ROBUST else discounted_value(g, w, p)
+            v = value_of(f, w, p)
             rows.append(
                 {
                     "score": v.value,
@@ -433,7 +428,7 @@ def run_case(case_dir: Path) -> dict:
     }
 
 
-def bench_run(suite_dir, out_dir=None, parallelism: int = 1) -> dict:
+def bench_run(suite_dir, out_dir=None) -> dict:
     """Run every case directory under the suite; per-case failures are
     isolated into their row and the suite continues."""
     suite_dir = Path(suite_dir)
@@ -450,11 +445,7 @@ def bench_run(suite_dir, out_dir=None, parallelism: int = 1) -> dict:
         except JanakaError as exc:
             return {"case": case_dir.name, "error": f"{type(exc).__name__}: {exc}", "ok": False}
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(one, cases))
-    else:
-        rows = [one(c) for c in cases]
+    rows = [one(c) for c in cases]
 
     suite = {
         "suite": suite_dir.name,

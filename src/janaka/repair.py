@@ -9,10 +9,10 @@ optima survive for the deterministic tie-break: fewer nodes, then canonical
 text).
 
 The bound propagates per-position value intervals through the template:
-fixed or assigned labels combine child intervals through the monotone
-envelope of their semantics cases; unresolved holes contribute the full value
-range of any formula fitting their remaining depth ([0,1] discounted,
-[-1, robust_upper_bound] robust).
+fixed or assigned labels combine child intervals through their operator's
+interval kernel (:meth:`janaka.ops.Op.interval`); unresolved holes contribute
+the full value range of any formula fitting their remaining depth
+(:func:`janaka.semantics.value_range`).
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptySampleError, NoTemplatesError, UnknownAtomError
 from .formulas import (
-    BINARY_OPS,
     TRUE_ATOM,
-    UNARY_OPS,
     And,
-    Atom,
     Finally,
     Formula,
     Globally,
@@ -38,36 +35,22 @@ from .formulas import (
     Or,
     PropositionSet,
     Until,
+    atoms_of,
     children,
     decode_label,
     eval_qualitative,
     format_formula,
     node_count,
+    satisfaction_vector,
 )
-from .semantics import (
-    DISCOUNTED,
-    ROBUST,
-    SemanticsParams,
-    robust_upper_bound,
-    sample_fitness,
-    value_of,
-)
+from .ops import OPS, arity, literal_values
+from .semantics import SemanticsParams, sample_fitness, value_of, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
 log = logging.getLogger("janaka.repair")
 
 _LABELED, _UNUSED = "labeled", "unused"
-
-_BINARY_BY_OP = {"&": And, "|": Or, "->": Implies, "U": Until}
-_UNARY_BY_OP = {"G": Globally, "F": Finally, "X": Next}
-
-
-def literal_labels(props: PropositionSet) -> list[str]:
-    out = []
-    for name in props:
-        out.extend((name, "!" + name))
-    return out
 
 
 @dataclass(frozen=True)
@@ -82,10 +65,9 @@ class Filling:
 class SearchBudget:
     time_limit: float = 60.0
     node_limit: int = 1_000_000
-    parallelism: int = 1
 
     def __post_init__(self):
-        if self.time_limit <= 0 or self.node_limit <= 0 or self.parallelism <= 0:
+        if self.time_limit <= 0 or self.node_limit <= 0:
             raise ValueError("budget fields must be positive")
 
 
@@ -109,13 +91,8 @@ class _View:
         self.template = template
         self.m = template.slot_map
         self.order = sorted(self.m)
-        self.literals = literal_labels(props)
+        self.labels = {i: template.labels_for(i, props) for i in template.hole_indices}
         self.hole_after = self._holes_after()
-        self.avail = {}
-        for i in sorted(self.m, reverse=True):
-            self.avail[i] = 1 + max(
-                self.avail.get(2 * i, 0), self.avail.get(2 * i + 1, 0)
-            )
 
     def _holes_after(self):
         flags = [isinstance(self.m[i], Hole) for i in self.order]
@@ -126,29 +103,13 @@ class _View:
             acc += flag
         return list(reversed(out))
 
-    def labels_for(self, i: int, allowed) -> list[str]:
-        left, right = self.m.get(2 * i), self.m.get(2 * i + 1)
-        left_open = left is None or isinstance(left, Hole)
-        right_open = right is None or isinstance(right, Hole)
-        out = []
-        for op in BINARY_OPS:
-            if left is not None and right is not None:
-                out.append(op)
-        for op in UNARY_OPS:
-            if left is not None and right_open:
-                out.append(op)
-        if left_open and right_open:
-            out.extend(self.literals)
-        if allowed is not None:
-            out = [lbl for lbl in out if lbl in allowed]
-        return out
-
 
 def _child_demands(demand, m, i, label):
     """Set demands implied by labeling slot i; returns undo list."""
-    if label in _BINARY_BY_OP:
+    n_children = arity(label)
+    if n_children == 2:
         wants = (_LABELED, _LABELED)
-    elif label in _UNARY_BY_OP:
+    elif n_children == 1:
         wants = (_LABELED, _UNUSED)
     else:  # literal or unused
         wants = (_UNUSED, _UNUSED)
@@ -171,13 +132,12 @@ def _restore(demand, undo):
 def _decode(m, assignment, i=1) -> Formula:
     slot = m[i]
     label = slot.label if isinstance(slot, Fixed) else assignment[i]
-    if label in _BINARY_BY_OP:
-        return _BINARY_BY_OP[label](
-            _decode(m, assignment, 2 * i), _decode(m, assignment, 2 * i + 1)
-        )
-    if label in _UNARY_BY_OP:
-        return _UNARY_BY_OP[label](_decode(m, assignment, 2 * i))
-    return decode_label(label)
+    op = OPS.get(label)
+    if op is None:
+        return decode_label(label)
+    if op.arity == 2:
+        return op.cls(_decode(m, assignment, 2 * i), _decode(m, assignment, 2 * i + 1))
+    return op.cls(_decode(m, assignment, 2 * i))
 
 
 def _assignments(view: _View, prune=None):
@@ -211,7 +171,7 @@ def _assignments(view: _View, prune=None):
             yield from rec(k + 1)
             _restore(demand, undo)
             return
-        for label in view.labels_for(i, slot.allowed):
+        for label in view.labels[i]:
             assignment[i] = label
             undo = _child_demands(demand, m, i, label)
             if prune is None or not prune(assignment, demand, k + 1):
@@ -251,32 +211,16 @@ def _is_propositional(f: Formula) -> bool:
 def _propositional_tautology(f: Formula) -> bool:
     if not _is_propositional(f):
         return False
-    atoms = sorted(a for a in _atoms(f) if a != TRUE_ATOM)
+    atoms = sorted(atoms_of(f) - {TRUE_ATOM})
     if len(atoms) > 10:
         return False
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        env = dict(zip(atoms, bits))
-        if not _prop_eval(f, env):
-            return False
-    return True
-
-
-def _atoms(f):
-    return {n.name for n in _walk(f) if isinstance(n, Atom)}
-
-
-def _prop_eval(f, env):
-    if isinstance(f, Atom):
-        return True if f.name == TRUE_ATOM else env[f.name]
-    if isinstance(f, Not):
-        return not _prop_eval(f.child, env)
-    if isinstance(f, And):
-        return _prop_eval(f.left, env) and _prop_eval(f.right, env)
-    if isinstance(f, Or):
-        return _prop_eval(f.left, env) or _prop_eval(f.right, env)
-    if isinstance(f, Implies):
-        return (not _prop_eval(f.left, env)) or _prop_eval(f.right, env)
-    raise TypeError(f)
+    # one state per truth assignment; f has no temporal operator, so its
+    # truth at each position is its truth under that assignment
+    states = [
+        frozenset(a for a, bit in zip(atoms, bits) if bit)
+        for bits in itertools.product((False, True), repeat=len(atoms))
+    ]
+    return all(satisfaction_vector(f, states))
 
 
 def triviality_filter(f: Formula) -> bool:
@@ -302,180 +246,38 @@ def triviality_filter(f: Formula) -> bool:
 # --- admissible interval bound ---------------------------------------------------
 
 
-def _free_interval(kind_avail, t, n, p: SemanticsParams):
-    if p.kind == DISCOUNTED:
-        return 0.0, 1.0
-    return -1.0, robust_upper_bound(kind_avail, n - t, p)
-
-
 def _bound_root_hi(view: _View, assignment, states, p: SemanticsParams) -> float:
     """Upper end of the root value interval at position 0 for one trace."""
     n = len(states)
+    heights = view.template.heights
     memo: dict[int, tuple[list, list]] = {}
-
-    def label_of(i):
-        slot = view.m[i]
-        if isinstance(slot, Fixed):
-            return slot.label
-        if i in assignment:
-            return assignment[i]  # may be None (unused)
-        return "?"  # unresolved hole
 
     def intervals(i):
         if i in memo:
             return memo[i]
-        label = label_of(i)
+        slot = view.m[i]
+        # an unresolved hole is "?"; an unused one is None
+        label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
         if label == "?":
             los, his = [], []
             for t in range(n):
-                lo, hi = _free_interval(view.avail[i], t, n, p)
+                lo, hi = value_range(heights[i], n - t, p)
                 los.append(lo)
                 his.append(hi)
-            memo[i] = (los, his)
-            return memo[i]
-        if label in _BINARY_BY_OP:
-            ll, lh = intervals(2 * i)
-            rl, rh = intervals(2 * i + 1)
-            los, his = _combine_binary(label, ll, lh, rl, rh, p)
-        elif label in _UNARY_BY_OP:
-            cl, ch = intervals(2 * i)
-            los, his = _combine_unary(label, cl, ch, n, p)
-        else:
-            if p.kind == DISCOUNTED:
-                vals = [
-                    _discounted_literal(label, states[t]) for t in range(n)
-                ]
+        elif label in OPS:
+            op = OPS[label]
+            if op.arity == 2:
+                los, his = op.interval(p, intervals(2 * i), intervals(2 * i + 1))
             else:
-                vals = [_robust_literal(label, states[t]) for t in range(n)]
-            los, his = vals, list(vals)
+                los, his = op.interval(p, intervals(2 * i))
+        else:
+            los = literal_values(label, states, p)
+            his = list(los)
         memo[i] = (los, his)
         return memo[i]
 
     _, his = intervals(1)
     return his[0]
-
-
-def _robust_literal(label, state):
-    neg = label.startswith("!")
-    name = label[1:] if neg else label
-    v = 1.0 if (name == TRUE_ATOM or name in state) else -1.0
-    return -v if neg else v
-
-
-def _discounted_literal(label, state):
-    neg = label.startswith("!")
-    name = label[1:] if neg else label
-    v = 1.0 if (name == TRUE_ATOM or name in state) else 0.0
-    return 1.0 - v if neg else v
-
-
-def _combine_binary(label, ll, lh, rl, rh, p):
-    a, b = p.alpha, p.beta
-    n = len(ll)
-    los, his = [], []
-    if p.kind == DISCOUNTED:
-        for t in range(n):
-            if label == "&":
-                los.append(b * min(ll[t], rl[t]))
-                his.append(b * min(lh[t], rh[t]))
-            elif label == "|":
-                los.append(b * max(ll[t], rl[t]))
-                his.append(b * max(lh[t], rh[t]))
-            elif label == "->":
-                los.append(b * max(1.0 - lh[t], rl[t]))
-                his.append(b * max(1.0 - ll[t], rh[t]))
-            else:  # U: monotone increasing in both children
-                los.append(_disc_until_at(ll, rl, t, a))
-                his.append(_disc_until_at(lh, rh, t, a))
-        return los, his
-    for t in range(n):
-        if label == "&":
-            cands = []
-            if lh[t] >= 0 and rh[t] >= 0:
-                cands.append(b * lh[t] * rh[t])
-            if ll[t] < 0 or rl[t] < 0:
-                cands.append(-1.0)
-            his.append(max(cands))
-            los.append(b * ll[t] * rl[t] if ll[t] >= 0 and rl[t] >= 0 else -1.0)
-        elif label == "|":
-            los.append(b * (ll[t] + rl[t]) / 2)
-            his.append(b * max(lh[t], rh[t]))
-        elif label == "->":
-            los.append(b * (-lh[t] + rl[t]) / 2)
-            his.append(b * max(-ll[t], rh[t]))
-        else:  # U
-            los.append(-1.0)
-            cands = [p.gamma * a ** (n - t)]
-            cands.extend(a ** (i - t) * rh[i] for i in range(t, n) if rh[i] >= 0)
-            his.append(max(cands))
-    return los, his
-
-
-def _disc_until_at(lv, rv, t, a):
-    best = 0.0
-    prefix = None
-    for i in range(t, len(lv)):
-        term = a ** (i - t) * rv[i]
-        if prefix is not None:
-            term = min(term, prefix)
-        best = max(best, term)
-        step = a ** (i - t) * lv[i]
-        prefix = step if prefix is None else min(prefix, step)
-    return best
-
-
-def _combine_unary(label, cl, ch, n, p):
-    a, b, g = p.alpha, p.beta, p.gamma
-    los, his = [], []
-    if p.kind == DISCOUNTED:
-        for t in range(n):
-            if label == "X":
-                if t + 1 < n:
-                    los.append(a * cl[t + 1])
-                    his.append(a * ch[t + 1])
-                else:
-                    los.append(0.0)
-                    his.append(0.0)
-            elif label == "F":
-                los.append(b * max(a ** (i - t) * cl[i] for i in range(t, n)))
-                his.append(b * max(a ** (i - t) * ch[i] for i in range(t, n)))
-            else:  # G
-                los.append(b * (1 - max(a ** (i - t) * (1 - cl[i]) for i in range(t, n))))
-                his.append(b * (1 - max(a ** (i - t) * (1 - ch[i]) for i in range(t, n))))
-        return los, his
-    for t in range(n):
-        if label == "X":
-            if t + 1 >= n:
-                los.append(g)
-                his.append(g)
-            elif ch[t + 1] < 0:
-                los.append(-1.0)
-                his.append(-1.0)
-            elif cl[t + 1] >= 0:
-                los.append(cl[t + 1])
-                his.append(ch[t + 1])
-            else:
-                los.append(-1.0)
-                his.append(ch[t + 1])
-        elif label == "F":
-            los.append(0.0)
-            cands = [b * g * a ** (n - t)]
-            cands.extend(b * a ** (i - t) * ch[i] for i in range(t, n) if ch[i] >= 0)
-            his.append(max(cands))
-        else:  # G
-            tail_lo = [cl[i] for i in range(t, n)]
-            tail_hi = [ch[i] for i in range(t, n)]
-            if min(tail_lo) >= 0:
-                los.append(b * sum(a ** k * v for k, v in enumerate(tail_lo)))
-            else:
-                los.append(-b)
-            cands = []
-            if min(tail_hi) >= 0:
-                cands.append(b * sum(a ** k * v for k, v in enumerate(tail_hi)))
-            if min(tail_lo) < 0:
-                cands.append(-b)
-            his.append(max(cands))
-    return los, his
 
 
 def bound_mean_fitness(view: _View, assignment, sample: Sample, p: SemanticsParams) -> float:
@@ -499,7 +301,7 @@ def _validate_templates(templates, props):
             elif slot.allowed:
                 labels = slot.allowed
             for lbl in labels:
-                if lbl in BINARY_OPS or lbl in UNARY_OPS:
+                if lbl in OPS:
                     continue
                 name = lbl[1:] if lbl.startswith("!") else lbl
                 if name != TRUE_ATOM and name not in props:

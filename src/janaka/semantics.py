@@ -1,32 +1,10 @@
 """Robust and discounted quantitative valuations over finite traces.
 
-Both evaluators work bottom-up: for each subformula they compute the value at
-every suffix position of the word, so the value of ``f`` on ``w`` is the root
-vector at position 0.
-
-Robust semantics (negation on literals only):
-
-* literal: +1 / -1 at the first state
-* f & g:  beta*f*g when both >= 0, else -1
-* f | g:  beta*avg when both >= 0, else beta*max
-* f -> g: beta*avg(-f, g) when f < 0 <= g, else beta*max(-f, g)
-* G f:    beta*sum_i alpha^i f_i when f is non-negative on every suffix, else -beta
-* F f:    beta*alpha^t f_t at the first non-negative suffix t, else beta*gamma*alpha^|w|
-* X f:    f at the next suffix when non-negative, gamma at the last position, else -1
-* f U g:  alpha^t g_t at the first non-negative g with f non-negative before it;
-          gamma*alpha^|w| when f is non-negative everywhere and g never is; else -1
-
-Discounted semantics (general negation, values in [0,1]):
-
-* atom 1/0; !f = 1 - f; & = beta*min; | = beta*max; -> = beta*max(1-f, g)
-* X f = alpha*f@next (0 past the end)
-* F f = beta*max_i alpha^i f_i;  G f = beta*(1 - max_i alpha^i (1 - f_i))
-* f U g = max_i min(alpha^i g_i, min_{j<i} alpha^j f_j)   (no beta)
-
-A `Valuation.decisive` flag is False when any gamma case fired anywhere the
-recursion looked: boolean connectives combine their children's flags, X reads
-the flag of the next position, and G/F/U combine the child flags over the
-entire suffix they scan.
+Both valuations walk the formula bottom-up (:func:`janaka.ops.evaluate`): for
+each subformula they compute the value at every suffix position of the word,
+so the value of ``f`` on ``w`` is the root vector at position 0. The cases of
+each operator are the kernels of the operator table, whose docstring
+(:mod:`janaka.ops`) summarizes both semantics.
 """
 
 from __future__ import annotations
@@ -35,25 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptySampleError, EmptyTraceError, NotInNNFError
-from .formulas import (
-    TRUE_ATOM,
-    And,
-    Atom,
-    Finally,
-    Formula,
-    Globally,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Until,
-    eval_qualitative,
-    is_nnf,
-    to_nnf,
-)
-
-ROBUST = "robust"
-DISCOUNTED = "discounted"
+from .formulas import Formula, _states_of, eval_qualitative, is_nnf, to_nnf
+from .ops import DISCOUNTED, ROBUST, evaluate
 
 
 @dataclass(frozen=True)
@@ -82,97 +43,11 @@ class Valuation:
     decisive: bool
 
 
-def _states_of(w) -> tuple[frozenset, ...]:
-    states = getattr(w, "states", w)
-    return tuple(frozenset(s) for s in states)
-
-
-# --- robust -------------------------------------------------------------------
-
-
-def _robust_vectors(f: Formula, states, p: SemanticsParams):
-    """Per-suffix (values, decisive-flags) for f over the word."""
-    n = len(states)
-    a, b, g = p.alpha, p.beta, p.gamma
-
-    if isinstance(f, Atom):
-        if f.name == TRUE_ATOM:
-            return [1.0] * n, [True] * n
-        return [1.0 if f.name in s else -1.0 for s in states], [True] * n
-    if isinstance(f, Not):
-        if not isinstance(f.child, Atom):
-            raise NotInNNFError("robust semantics needs negation normal form")
-        vals, flags = _robust_vectors(f.child, states, p)
-        return [-v for v in vals], flags
-
-    if isinstance(f, (And, Or, Implies)):
-        lv, lf = _robust_vectors(f.left, states, p)
-        rv, rf = _robust_vectors(f.right, states, p)
-        vals = []
-        for x, y in zip(lv, rv):
-            if isinstance(f, And):
-                vals.append(b * x * y if x >= 0 and y >= 0 else -1.0)
-            elif isinstance(f, Or):
-                vals.append(b * ((x + y) / 2 if x >= 0 and y >= 0 else max(x, y)))
-            else:
-                vals.append(b * ((-x + y) / 2 if x < 0 and y >= 0 else max(-x, y)))
-        return vals, [p_ and q_ for p_, q_ in zip(lf, rf)]
-
-    if isinstance(f, Next):
-        cv, cf = _robust_vectors(f.child, states, p)
-        vals, flags = [], []
-        for t in range(n):
-            if t + 1 >= n:
-                vals.append(g)
-                flags.append(False)
-            else:
-                vals.append(cv[t + 1] if cv[t + 1] >= 0 else -1.0)
-                flags.append(cf[t + 1])
-        return vals, flags
-
-    if isinstance(f, Globally):
-        cv, cf = _robust_vectors(f.child, states, p)
-        vals, flags = [], []
-        for t in range(n):
-            if all(cv[i] >= 0 for i in range(t, n)):
-                vals.append(b * sum(a ** (i - t) * cv[i] for i in range(t, n)))
-            else:
-                vals.append(b * -1.0)
-            flags.append(all(cf[t:]))
-        return vals, flags
-
-    if isinstance(f, Finally):
-        cv, cf = _robust_vectors(f.child, states, p)
-        vals, flags = [], []
-        for t in range(n):
-            witness = next((i for i in range(t, n) if cv[i] >= 0), None)
-            if witness is None:
-                vals.append(b * g * a ** (n - t))
-                flags.append(False)
-            else:
-                vals.append(b * a ** (witness - t) * cv[witness])
-                flags.append(all(cf[t:]))
-        return vals, flags
-
-    if isinstance(f, Until):
-        lv, lf = _robust_vectors(f.left, states, p)
-        rv, rf = _robust_vectors(f.right, states, p)
-        vals, flags = [], []
-        for t in range(n):
-            witness = next((i for i in range(t, n) if rv[i] >= 0), None)
-            scanned = all(lf[t:]) and all(rf[t:])
-            if witness is not None and all(lv[j] >= 0 for j in range(t, witness)):
-                vals.append(a ** (witness - t) * rv[witness])
-                flags.append(scanned)
-            elif witness is None and all(lv[j] >= 0 for j in range(t, n)):
-                vals.append(g * a ** (n - t))
-                flags.append(False)
-            else:
-                vals.append(-1.0)
-                flags.append(scanned)
-        return vals, flags
-
-    raise TypeError(f"not a formula: {f!r}")
+def _vector(f: Formula, w, kind: str, p: SemanticsParams):
+    states = _states_of(w)
+    if not states:
+        raise EmptyTraceError("cannot evaluate on an empty trace")
+    return evaluate(f, states, kind, p)
 
 
 def robust_value(f: Formula, w, p: SemanticsParams) -> Valuation:
@@ -181,78 +56,15 @@ def robust_value(f: Formula, w, p: SemanticsParams) -> Valuation:
         raise ValueError("params.kind must be 'robust'")
     if not is_nnf(f):
         raise NotInNNFError(f"not in negation normal form: {f}")
-    states = _states_of(w)
-    if not states:
-        raise EmptyTraceError("cannot evaluate on an empty trace")
-    vals, flags = _robust_vectors(f, states, p)
+    vals, flags = _vector(f, w, "robust_pair", p)
     return Valuation(vals[0], flags[0])
-
-
-# --- discounted ----------------------------------------------------------------
-
-
-def _discounted_vector(f: Formula, states, p: SemanticsParams):
-    n = len(states)
-    a, b = p.alpha, p.beta
-
-    if isinstance(f, Atom):
-        if f.name == TRUE_ATOM:
-            return [1.0] * n
-        return [1.0 if f.name in s else 0.0 for s in states]
-    if isinstance(f, Not):
-        return [1.0 - v for v in _discounted_vector(f.child, states, p)]
-    if isinstance(f, And):
-        lv = _discounted_vector(f.left, states, p)
-        rv = _discounted_vector(f.right, states, p)
-        return [b * min(x, y) for x, y in zip(lv, rv)]
-    if isinstance(f, Or):
-        lv = _discounted_vector(f.left, states, p)
-        rv = _discounted_vector(f.right, states, p)
-        return [b * max(x, y) for x, y in zip(lv, rv)]
-    if isinstance(f, Implies):
-        lv = _discounted_vector(f.left, states, p)
-        rv = _discounted_vector(f.right, states, p)
-        return [b * max(1.0 - x, y) for x, y in zip(lv, rv)]
-    if isinstance(f, Next):
-        cv = _discounted_vector(f.child, states, p)
-        return [a * cv[t + 1] if t + 1 < n else 0.0 for t in range(n)]
-    if isinstance(f, Finally):
-        cv = _discounted_vector(f.child, states, p)
-        return [b * max(a ** (i - t) * cv[i] for i in range(t, n)) for t in range(n)]
-    if isinstance(f, Globally):
-        cv = _discounted_vector(f.child, states, p)
-        return [
-            b * (1.0 - max(a ** (i - t) * (1.0 - cv[i]) for i in range(t, n)))
-            for t in range(n)
-        ]
-    if isinstance(f, Until):
-        lv = _discounted_vector(f.left, states, p)
-        rv = _discounted_vector(f.right, states, p)
-        out = []
-        for t in range(n):
-            best = 0.0
-            prefix = None  # min over alpha^(j-t) * lv[j] for j in [t, i)
-            for i in range(t, n):
-                term = a ** (i - t) * rv[i]
-                if prefix is not None:
-                    term = min(term, prefix)
-                if term > best:
-                    best = term
-                step = a ** (i - t) * lv[i]
-                prefix = step if prefix is None else min(prefix, step)
-            out.append(best)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def discounted_value(f: Formula, w, p: SemanticsParams) -> Valuation:
     """Discounted valuation in [0,1]; general negation allowed; always decisive."""
     if p.kind != DISCOUNTED:
         raise ValueError("params.kind must be 'discounted'")
-    states = _states_of(w)
-    if not states:
-        raise EmptyTraceError("cannot evaluate on an empty trace")
-    return Valuation(_discounted_vector(f, states, p)[0], True)
+    return Valuation(_vector(f, w, DISCOUNTED, p)[0], True)
 
 
 # --- sample-level fitness -------------------------------------------------------
@@ -273,10 +85,7 @@ def sample_fitness(f: Formula, sample, p: SemanticsParams) -> float:
     g = to_nnf(f) if p.kind == ROBUST and not is_nnf(f) else f
     total = 0.0
     for w in traces:
-        if p.kind == ROBUST:
-            total += robust_value(g, w, p).value
-        else:
-            total += discounted_value(g, w, p).value
+        total += _vector(g, w, p.kind, p)[0]  # the values alone, without decisive flags
     return total / len(traces)
 
 
@@ -304,6 +113,14 @@ def _robust_bound(depth: int, length: int, a: float, b: float, g: float) -> floa
 
 def robust_upper_bound(depth: int, length: int, p: SemanticsParams) -> float:
     """Sound upper bound on the robust value of any formula of the given tree
-    depth over a suffix of the given length. Used by the repair search and the
-    MILP export to size big-M constants."""
+    depth over a suffix of the given length."""
     return _robust_bound(depth, length, p.alpha, p.beta, p.gamma)
+
+
+def value_range(depth: int, length: int, p: SemanticsParams) -> tuple[float, float]:
+    """The values any formula of the given tree depth can take on a suffix of
+    the given length: the repair bound's range for an open hole and the MILP
+    export's score bounds and big-M constants."""
+    if p.kind == DISCOUNTED:
+        return 0.0, 1.0
+    return -1.0, robust_upper_bound(depth, length, p)

@@ -21,25 +21,27 @@ to {G, F}, then runs 'random' over the original nodes.
 Text form: the formula grammar extended with ``?<k>`` (free region of depth
 <= k), ``?(A)`` / ``(A ? B)`` (label holes over existing children), and an
 optional allowed-set suffix as in ``?{G,F}(A)``. Infix label holes require
-parentheses. A bare ``?`` is accepted as ``?<1>``.
+parentheses. A bare ``?`` is accepted as ``?<1>``. The formula parser reads it
+in its hole mode (:func:`janaka.formulas.parse_holes`).
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DepthExceededError, FormulaSyntaxError
+from .errors import DepthExceededError, FormulaSyntaxError, UnsupportedNegationError
 from .formulas import (
-    BINARY_OPS,
-    UNARY_OPS,
     Formula,
+    HoleNode,
+    PropositionSet,
     formula_depth,
+    format_formula,
     is_literal,
-    literal_label,
+    parse_holes,
 )
+from .ops import BINARY_OPS, NOT, UNARY_OPS, arity, children, op_of
 
 RANDOM = "random"
 WITH_GF = "withgf"
@@ -65,6 +67,14 @@ Slot = Fixed | Hole
 
 def _level(index: int) -> int:
     return index.bit_length()
+
+
+def literal_labels(props: PropositionSet) -> list[str]:
+    """The literal alphabet of a hole: every atom, then its negation."""
+    out = []
+    for name in props:
+        out.extend((name, "!" + name))
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,10 +106,11 @@ class Template:
             if not isinstance(slot, Fixed):
                 continue
             left, right = m.get(2 * i), m.get(2 * i + 1)
-            if slot.label in BINARY_OPS:
+            n_children = arity(slot.label)
+            if n_children == 2:
                 if left is None or right is None:
                     raise ValueError(f"binary slot {i} is missing a child")
-            elif slot.label in UNARY_OPS:
+            elif n_children == 1:
                 if left is None:
                     raise ValueError(f"unary slot {i} is missing its left child")
                 if isinstance(right, Fixed):
@@ -120,33 +131,70 @@ class Template:
     def has_holes(self) -> bool:
         return bool(self.hole_indices)
 
+    @cached_property
+    def heights(self) -> dict[int, int]:
+        """Per slot, the tree depth of the deepest formula that fits there:
+        the levels from the slot down to the lowest slot beneath it."""
+        out: dict[int, int] = {}
+        for i in sorted(self.slot_map, reverse=True):
+            out[i] = 1 + max(out.get(2 * i, 0), out.get(2 * i + 1, 0))
+        return out
 
-def _embed(f: Formula, index: int, slots: dict[int, Slot], nodes: list):
-    """Place f's nodes as Fixed slots rooted at the given index."""
-    from .formulas import _BINARY_TYPES, _UNARY_TYPES, Not  # label tables
+    def labels_for(self, i: int, props: PropositionSet) -> list[str]:
+        """Labels hole i admits, in enumeration order: binary operators when
+        both child slots exist, unary ones when the left exists and the right
+        is a hole or absent, literals when both are; then only those in the
+        hole's allowed set."""
+        m = self.slot_map
+        left, right = m.get(2 * i), m.get(2 * i + 1)
+        left_open = left is None or isinstance(left, Hole)
+        right_open = right is None or isinstance(right, Hole)
+        out = []
+        if left is not None and right is not None:
+            out.extend(BINARY_OPS)
+        if left is not None and right_open:
+            out.extend(UNARY_OPS)
+        if left_open and right_open:
+            out.extend(literal_labels(props))
+        allowed = m[i].allowed
+        if allowed is not None:
+            out = [lbl for lbl in out if lbl in allowed]
+        return out
 
-    if is_literal(f):
-        label = literal_label(f)
-        slots[index] = Fixed(label)
-        nodes.append((index, label, "leaf"))
+
+def _embed(f, index: int, slots: dict[int, Slot], nodes: list):
+    """Place f's nodes as Fixed slots rooted at the given index, and record
+    each as (index, label, arity) in `nodes`; the holes of parsed template
+    text become Hole slots."""
+    if _level(index) > MAX_TREE_DEPTH:
+        raise DepthExceededError("template exceeds the tree bound")
+    if isinstance(f, HoleNode):
+        if f.region:
+            if _level(index) + f.region - 1 > MAX_TREE_DEPTH:
+                raise DepthExceededError(
+                    f"a region of depth {f.region} at level {_level(index)} exceeds "
+                    f"the tree bound {MAX_TREE_DEPTH}"
+                )
+            _add_region(slots, index, f.region)
+            return
+        slots[index] = Hole(f.allowed)
+        for child, ci in zip(f.children, (2 * index, 2 * index + 1)):
+            _embed(child, ci, slots, nodes)
         return
-    if isinstance(f, Not):
-        from .errors import UnsupportedNegationError
-
+    if is_literal(f):
+        label = format_formula(f)  # a literal's label is its text
+        slots[index] = Fixed(label)
+        nodes.append((index, label, 0))
+        return
+    op = op_of(f)
+    if op is NOT:
         raise UnsupportedNegationError(
             "templates carry literal negation only; normalize the source first"
         )
-    if type(f) in _UNARY_TYPES:
-        label = _UNARY_TYPES[type(f)]
-        slots[index] = Fixed(label)
-        nodes.append((index, label, "unary"))
-        _embed(f.child, 2 * index, slots, nodes)
-        return
-    label = _BINARY_TYPES[type(f)]
-    slots[index] = Fixed(label)
-    nodes.append((index, label, "binary"))
-    _embed(f.left, 2 * index, slots, nodes)
-    _embed(f.right, 2 * index + 1, slots, nodes)
+    slots[index] = Fixed(op.label)
+    nodes.append((index, op.label, op.arity))
+    for child, ci in zip(children(f), (2 * index, 2 * index + 1)):
+        _embed(child, ci, slots, nodes)
 
 
 def _add_region(slots: dict[int, Slot], root: int, depth: int):
@@ -160,10 +208,10 @@ def _add_region(slots: dict[int, Slot], root: int, depth: int):
         frontier = nxt
 
 
-def _apply_rule(slots: dict[int, Slot], index: int, arity: str, d: int):
-    if arity == "leaf":
+def _apply_rule(slots: dict[int, Slot], index: int, n_children: int, d: int):
+    if n_children == 0:
         _add_region(slots, index, d)
-    elif arity == "unary":
+    elif n_children == 1:
         slots[index] = Hole()
         _add_region(slots, 2 * index + 1, d)
     else:
@@ -241,26 +289,12 @@ def make_templates(
 def _region_depth(t: Template, root: int) -> int | None:
     """Depth k when the subtree at root is exactly a complete unrestricted
     hole region, else None."""
-    m = t.slot_map
-    subtree = [i for i in m if i == root or _is_descendant(i, root)]
-    if any(not isinstance(m[i], Hole) or m[i].allowed is not None for i in subtree):
-        return None
-    k = 0
-    frontier = [root]
-    covered = 0
-    while frontier and all(i in m for i in frontier):
-        covered += len(frontier)
-        k += 1
-        frontier = [c for i in frontier for c in (2 * i, 2 * i + 1)]
-    if covered != len(subtree) or any(i in m for i in frontier):
-        return None
+    k = t.heights[root]
+    for level in range(k):
+        for i in range(root << level, (root + 1) << level):
+            if t.slot_map.get(i) != Hole():
+                return None
     return k
-
-
-def _is_descendant(i: int, root: int) -> bool:
-    while i > root:
-        i //= 2
-    return i == root
 
 
 def format_template(t: Template) -> str:
@@ -270,9 +304,10 @@ def format_template(t: Template) -> str:
         slot = t.slot_map[i]
         left, right = t.slot_map.get(2 * i), t.slot_map.get(2 * i + 1)
         if isinstance(slot, Fixed):
-            if slot.label in BINARY_OPS:
+            n_children = arity(slot.label)
+            if n_children == 2:
                 return f"({fmt(2 * i)} {slot.label} {fmt(2 * i + 1)})"
-            if slot.label in UNARY_OPS:
+            if n_children == 1:
                 return f"{slot.label}({fmt(2 * i)})"
             return slot.label
         k = _region_depth(t, i)
@@ -288,184 +323,11 @@ def format_template(t: Template) -> str:
     return fmt(1)
 
 
-_T_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<region>\?<\d+>)
-  | (?P<hole>\?)
-  | (?P<arrow>->)
-  | (?P<op>[&|!(){},])
-  | (?P<modal>[GFXU])
-  | (?P<atom>[a-z][a-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-
-class _TNode:
-    """Parse-tree node for template text."""
-
-    __slots__ = ("kind", "label", "allowed", "children", "region")
-
-    def __init__(self, kind, label=None, allowed=None, children=(), region=0):
-        self.kind = kind  # 'fixed' | 'hole' | 'region'
-        self.label = label
-        self.allowed = allowed
-        self.children = list(children)
-        self.region = region
-
-
-class _TemplateParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _T_TOKEN_RE.match(text, pos)
-            if not m:
-                raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of template", len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.take()
-        if tok[1] != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok[1]!r}", tok[2])
-
-    def parse(self) -> _TNode:
-        node = self.parse_implies()
-        if self.peek() is not None:
-            raise FormulaSyntaxError(f"trailing input {self.peek()[1]!r}", self.peek()[2])
-        return node
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if (tok := self.peek()) and tok[1] == "->":
-            self.take()
-            return _TNode("fixed", "->", children=(left, self.parse_implies()))
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while (tok := self.peek()) and tok[1] == "|":
-            self.take()
-            node = _TNode("fixed", "|", children=(node, self.parse_and()))
-        return node
-
-    def parse_and(self):
-        node = self.parse_until()
-        while (tok := self.peek()) and tok[1] == "&":
-            self.take()
-            node = _TNode("fixed", "&", children=(node, self.parse_until()))
-        return node
-
-    def parse_until(self):
-        left = self.parse_unary()
-        if (tok := self.peek()) and tok[1] == "U":
-            self.take()
-            return _TNode("fixed", "U", children=(left, self.parse_until()))
-        return left
-
-    def parse_allowed(self) -> tuple[str, ...]:
-        self.expect("{")
-        labels = []
-        while True:
-            tok = self.take()
-            if tok[0] not in ("modal", "arrow", "atom") and tok[1] not in ("&", "|", "!"):
-                raise FormulaSyntaxError(f"bad label {tok[1]!r} in allowed set", tok[2])
-            label = tok[1]
-            if label == "!":
-                atom = self.take()
-                if atom[0] != "atom":
-                    raise FormulaSyntaxError("'!' in allowed set needs an atom", atom[2])
-                label = "!" + atom[1]
-            labels.append(label)
-            tok = self.take()
-            if tok[1] == "}":
-                return tuple(labels)
-            if tok[1] != ",":
-                raise FormulaSyntaxError(f"expected ',' or '}}', found {tok[1]!r}", tok[2])
-
-    def parse_unary(self):
-        tok = self.take()
-        kind, text, pos = tok
-        if text == "!":
-            atom = self.take()
-            if atom[0] != "atom":
-                raise FormulaSyntaxError("template negation applies to atoms only", atom[2])
-            return _TNode("fixed", "!" + atom[1])
-        if kind == "modal" and text in UNARY_OPS:
-            return _TNode("fixed", text, children=(self.parse_unary(),))
-        if kind == "region":
-            return _TNode("region", region=int(text[2:-1]))
-        if kind == "hole":
-            allowed = None
-            if (nxt := self.peek()) and nxt[1] == "{":
-                allowed = self.parse_allowed()
-            if (nxt := self.peek()) and nxt[1] == "(":
-                self.take()
-                child = self.parse_implies()
-                self.expect(")")
-                return _TNode("hole", allowed=allowed, children=(child,))
-            if allowed is not None:
-                raise FormulaSyntaxError("restricted hole needs a child", pos)
-            return _TNode("region", region=1)
-        if text == "(":
-            inner = self.parse_implies()
-            nxt = self.peek()
-            if nxt and nxt[0] == "hole":
-                self.take()
-                allowed = None
-                if (after := self.peek()) and after[1] == "{":
-                    allowed = self.parse_allowed()
-                right = self.parse_implies()
-                self.expect(")")
-                return _TNode("hole", allowed=allowed, children=(inner, right))
-            self.expect(")")
-            return inner
-        if kind == "atom":
-            return _TNode("fixed", text)
-        raise FormulaSyntaxError(f"unexpected token {text!r}", pos)
-
-
 def parse_template(text: str) -> Template:
     """Parse template text back into a Template (provenance fields empty)."""
     if not text or not text.strip():
         raise FormulaSyntaxError("empty template text", 0)
-    root = _TemplateParser(text).parse()
     slots: dict[int, Slot] = {}
-
-    def place(node: _TNode, index: int):
-        if _level(index) > MAX_TREE_DEPTH:
-            raise DepthExceededError("template exceeds the tree bound")
-        if node.kind == "region":
-            if node.region < 1:
-                raise FormulaSyntaxError("region depth must be >= 1", 0)
-            _add_region(slots, index, node.region)
-            return
-        if node.kind == "hole":
-            slots[index] = Hole(node.allowed)
-            if len(node.children) >= 1:
-                place(node.children[0], 2 * index)
-            if len(node.children) == 2:
-                place(node.children[1], 2 * index + 1)
-            return
-        slots[index] = Fixed(node.label)
-        for child, ci in zip(node.children, (2 * index, 2 * index + 1)):
-            place(child, ci)
-
-    place(root, 1)
+    _embed(parse_holes(text), 1, slots, [])
     depth = max(_level(i) for i in slots)
     return Template(depth, tuple(slots.items()))

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janaka.errors import (
-    DepthExceededError,
     EmptyInputError,
     FormulaSyntaxError,
     UnknownAtomError,
@@ -24,12 +23,10 @@ from janaka.formulas import (
     Until,
     eval_qualitative,
     format_formula,
-    formula_depth,
     parse_formula,
     satisfaction_vector,
     to_nnf,
-    tree_decode,
-    tree_index,
+    tokenize,
 )
 
 from gen import random_formula, random_word
@@ -82,6 +79,16 @@ class TestParse:
             parse_formula("p &", PQRS)
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p ? q", PQRS)
+
+    def test_hole_syntax_rejected_at_its_position(self):
+        # candidate extraction counts a span that fails to tokenize as prose
+        for text, position in [("G(?<1>)", 2), ("p {q", 2), ("p, q", 1), ("(p ? q)", 3)]:
+            with pytest.raises(FormulaSyntaxError) as err:
+                tokenize(text)
+            assert err.value.position == position
+            with pytest.raises(FormulaSyntaxError) as err:
+                parse_formula(text, PQRS)
+            assert err.value.position == position
 
 
 class TestFormat:
@@ -175,38 +182,3 @@ class TestQualitative:
         vec = satisfaction_vector(f, w)
         for i in range(len(w)):
             assert vec[i] == naive_qualitative(f, w[i:])
-
-
-class TestIndexedTree:
-    def test_examples(self):
-        p, q = atoms("p", "q")
-        t = tree_index(Globally(p), 2)
-        assert t.slots == ("G", "p", None)
-        t = tree_index(Or(p, q), 2)
-        assert t.slots == ("|", "p", "q")
-
-    def test_deeper_embedding_keeps_invariants(self):
-        f = parse_formula("G(p -> X(q))", PQRS)
-        t = tree_index(f, 4)
-        t.validate()
-        assert t.label(1) == "G" and t.label(2) == "->"
-        assert t.label(3) is None and t.label(5) == "X"
-        assert t.label(10) == "q"
-
-    def test_depth_exceeded(self):
-        f = parse_formula("G(p -> X(q))", PQRS)
-        with pytest.raises(DepthExceededError):
-            tree_index(f, 2)
-
-    def test_literals_take_one_slot(self):
-        t = tree_index(And(Atom("p"), Not(Atom("q"))), 2)
-        assert t.slots == ("&", "p", "!q")
-        t.validate()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10 ** 9))
-    def test_decode_is_identity_and_valid(self, seed):
-        f = random_formula(random.Random(seed), depth=4, atoms=list(PQRS), mode="nnf")
-        t = tree_index(f, formula_depth(f) + 1)
-        t.validate()
-        assert tree_decode(t) == f

@@ -128,10 +128,30 @@ class TestDiscountedCrossValidation:
 
 class TestTemplateRoundTrip:
     def test_rebuilt_template_enumerates_the_same_formulas(self):
+        self.check_round_trip(disc())
+
+    def test_robust_rebuilt_template_enumerates_the_same_formulas(self):
+        self.check_round_trip(SemanticsParams(kind=ROBUST))
+
+    def check_round_trip(self, params):
         t = parse_template("(p ? ?<1>)")
         sample = Sample((Trace(states({"p"}, {"q"})),), PQ)
-        lp = export_milp(t, sample, disc(), d=t.depth)
+        lp = export_milp(t, sample, params, d=t.depth)
         rebuilt = template_from_lp(lp)
         orig = {format_formula(f.formula) for f in enumerate_fillings(t, PQ)}
         back = {format_formula(f.formula) for f in enumerate_fillings(rebuilt, PQ)}
         assert orig == back
+
+    def test_robust_enumeration_matches_native_optimum(self):
+        # the robust model has quadratic rows: only the solver refuses it
+        sample = Sample(
+            (Trace(states({"p"}, {"q"}, {"p", "q"})), Trace(states({"q"}, set()))), PQ
+        )
+        params = SemanticsParams(kind=ROBUST)
+        for text in ("(p ? q)", "G(?<1>)", "(p ? ?<1>)"):
+            t = parse_template(text)
+            lp = export_milp(t, sample, params, d=t.depth)
+            assert lp_enumerate_optimum(lp, sample, params) == native_optimum(t, sample, params)
+        assert "[" in lp
+        with pytest.raises(UnsupportedForExportError):
+            lp_optimum(lp)

@@ -227,3 +227,11 @@ class TestRepair:
                 if dict(filling.assignment)[first] == label:
                     fit = sample_fitness(filling.formula, sample, params)
                     assert bnd >= fit - 1e-12
+        # on a complete assignment the discounted bound is the fitness itself
+        for filling in fillings:
+            bnd = bound_mean_fitness(view, dict(filling.assignment), sample, params)
+            fit = sample_fitness(filling.formula, sample, params)
+            if params.kind == DISCOUNTED:
+                assert bnd == fit
+            else:
+                assert bnd >= fit - 1e-12

@@ -4,24 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janaka.errors import UnsupportedNegationError
+from janaka.errors import DepthExceededError, FormulaSyntaxError, UnsupportedNegationError
 from janaka.formulas import (
     Atom,
     Globally,
     Not,
     Or,
     PropositionSet,
+    format_formula,
     formula_depth,
     parse_formula,
 )
+from janaka.repair import enumerate_fillings
 from janaka.templates import (
     GTEMP,
     RANDOM,
+    MAX_TREE_DEPTH,
     WITH_GF,
     Fixed,
     Hole,
     Template,
     format_template,
+    _embed,
     make_templates,
     parse_template,
 )
@@ -81,8 +85,6 @@ class TestStrategies:
         f = random_formula(rng, depth=4, atoms=["p", "q"], mode="nnf")
         for t in make_templates(f, d=1, strategy=WITH_GF, hole_prob=0.7, seed=seed, count=3):
             src = {}
-            from janaka.templates import _embed
-
             nodes = []
             _embed(f, 1, src, nodes)
             for i, slot in src.items():
@@ -143,6 +145,76 @@ class TestText:
         for t in make_templates(f, d=rng.randint(1, 2), strategy=strategy,
                                 hole_prob=0.5, seed=seed, count=2):
             assert parse_template(format_template(t)) == t
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, position", [
+        ("?{G,F}", 0),  # a restricted hole needs a child
+        ("!G(p)", 1),  # negation applies to atoms only
+        ("?<0>", 0),
+        ("", 0),
+        ("   ", 0),
+        ("?{G,}(p)", 4),
+        ("(p) q", 4),  # trailing input
+        ("(p ? q", 6),  # unexpected end
+    ])
+    def test_syntax_errors(self, text, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_template(text)
+        assert err.value.position == position
+
+    def test_empty_region_reported_at_its_token(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_template("G(?<0>)")
+        assert err.value.position == 2
+
+    def test_region_past_the_tree_bound_is_rejected_before_grafting(self):
+        # G(?<12>) needs 13 levels; ?<40> would graft 2^40 slots
+        for text in ("G(?<12>)", "?<40>"):
+            with pytest.raises(DepthExceededError):
+                parse_template(text)
+        assert parse_template("G(?<2>)").depth == 3
+
+
+def _encode(f):
+    slots = {}
+    _embed(f, 1, slots, [])
+    return Template(max(i.bit_length() for i in slots), tuple(slots.items()))
+
+
+class TestEncoding:
+    def test_examples(self):
+        assert _encode(Globally(Atom("p"))).slot_map == {1: Fixed("G"), 2: Fixed("p")}
+        assert _encode(Or(Atom("p"), Atom("q"))).slot_map == {
+            1: Fixed("|"), 2: Fixed("p"), 3: Fixed("q"),
+        }
+
+    def test_deeper_embedding_keeps_invariants(self):
+        t = _encode(parse_formula("G(p -> X(q))", PQRS))
+        assert t.depth == 4 and not t.has_holes
+        assert t.slot_map == {
+            1: Fixed("G"), 2: Fixed("->"), 4: Fixed("p"), 5: Fixed("X"), 10: Fixed("q"),
+        }
+
+    def test_literals_take_one_slot(self):
+        t = _encode(parse_formula("p & !q", PQRS))
+        assert t.slot_map == {1: Fixed("&"), 2: Fixed("p"), 3: Fixed("!q")}
+
+    def test_depth_exceeded(self):
+        f = parse_formula("G(p -> X(q))", PQRS)
+        with pytest.raises(DepthExceededError):
+            make_templates(f, d=MAX_TREE_DEPTH - formula_depth(f) + 1, strategy=RANDOM, seed=0)
+        deep = "G(" * MAX_TREE_DEPTH + "p" + ")" * MAX_TREE_DEPTH
+        with pytest.raises(DepthExceededError):
+            parse_template(deep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_hole_free_template_enumerates_its_formula(self, seed):
+        f = random_formula(random.Random(seed), depth=4, atoms=list(PQRS), mode="nnf")
+        t = _encode(f)
+        assert parse_template(format_formula(f)) == t
+        assert [fl.formula for fl in enumerate_fillings(t, PQRS)] == [f]
 
 
 class TestValidation:
