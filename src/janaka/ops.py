@@ -48,6 +48,32 @@ Discounted semantics (general negation, values in [0,1], always decisive):
 * X f = alpha*f@next (0 past the end)
 * F f = beta*max_i alpha^i f_i;  G f = beta*(1 - max_i alpha^i (1 - f_i))
 * f U g = max_i min(alpha^i g_i, min_{j<i} alpha^j f_j)   (no beta)
+
+Every temporal kernel makes one right-to-left pass over the positions and
+carries O(1) state from position t+1 to t (n is the word length, v the child
+values, f and g the left and right ones, h the child highs):
+
+* robust G: ok_t = (v_t >= 0 and ok_{t+1}), S_t = v_t + alpha*S_{t+1}
+  (Horner); the value is beta*S_t where ok_t, else -beta.
+* robust F: the witness chain r_t = v_t where v_t >= 0, else alpha*r_{t+1};
+  the value is beta*r_t, or beta*gamma*alpha^(n-t) while no witness is seen.
+* robust U: r_t = g_t where g_t >= 0, else fail where f_t < 0, else
+  alpha*r_{t+1} (fail and the gamma state carry over); the value is r_t, -1 on
+  fail, gamma*alpha^(n-t) in the gamma state (no witness, f never < 0).
+* robust F/U interval highs: H_t = max(h_t, alpha*H_{t+1}) with H_n = 0, then
+  the max with the gamma term (times beta for F). This is the value kernels'
+  alpha-chain: float multiplication by alpha and max are monotone, so the
+  highs dominate the values of any child values at or below h exactly.
+* discounted F: M_t = max(v_t, alpha*M_{t+1}); G: the same on 1 - v, giving
+  beta*(1 - M_t); U: V_t = max(g_t, min(f_t, alpha*V_{t+1})) with V_n = 0,
+  the max-min above because a positive alpha commutes with min and max.
+
+The scans round differently from a per-position rescan of the suffix that
+sums the alpha^i terms as written above; tests/test_kernels.py keeps such
+rescans as the reference and holds the scans to 1e-12 relative of them.
+Equal bit for bit: robust G's -beta case and its flag, the gamma cases of F
+and U, and every kernel of X, the literals, the boolean connectives, the
+qualitative semantics and the decisive flags.
 """
 
 from __future__ import annotations
@@ -306,43 +332,52 @@ def _rob_next(p, cv):
 
 
 def _rob_globally(p, cv):
+    # ok: the suffix from t on is non-negative; s = sum_i alpha^(i-t) cv[i] (Horner)
     n = len(cv)
     a, b = p.alpha, p.beta
-    vals = []
-    for t in range(n):
-        if all(cv[i] >= 0 for i in range(t, n)):
-            vals.append(b * sum(a ** (i - t) * cv[i] for i in range(t, n)))
-        else:
-            vals.append(b * -1.0)
-    return vals
+    out = [0.0] * n
+    ok, s = True, 0.0
+    for t in range(n - 1, -1, -1):
+        v = cv[t]
+        ok = ok and v >= 0
+        s = v + a * s
+        out[t] = b * s if ok else b * -1.0
+    return out
 
 
 def _rob_finally(p, cv):
+    # r: alpha^(w-t) cv[w] at the first non-negative w >= t, chained as alpha*r;
+    # None while no suffix position is non-negative
     n = len(cv)
     a, b, g = p.alpha, p.beta, p.gamma
-    vals = []
-    for t in range(n):
-        witness = next((i for i in range(t, n) if cv[i] >= 0), None)
-        if witness is None:
-            vals.append(b * g * a ** (n - t))
-        else:
-            vals.append(b * a ** (witness - t) * cv[witness])
-    return vals
+    out = [0.0] * n
+    r = None
+    for t in range(n - 1, -1, -1):
+        v = cv[t]
+        if v >= 0:
+            r = v
+        elif r is not None:
+            r = a * r
+        out[t] = b * g * a ** (n - t) if r is None else b * r
+    return out
 
 
 def _rob_until(p, lv, rv):
+    # r as in F; it turns to -1 (fail) where f < 0 before any witness, and
+    # stays None (the gamma case) while neither a witness nor a failure is seen
     n = len(lv)
     a, g = p.alpha, p.gamma
-    vals = []
-    for t in range(n):
-        witness = next((i for i in range(t, n) if rv[i] >= 0), None)
-        if witness is not None and all(lv[j] >= 0 for j in range(t, witness)):
-            vals.append(a ** (witness - t) * rv[witness])
-        elif witness is None and all(lv[j] >= 0 for j in range(t, n)):
-            vals.append(g * a ** (n - t))
-        else:
-            vals.append(-1.0)
-    return vals
+    out = [0.0] * n
+    r = None
+    for t in range(n - 1, -1, -1):
+        if rv[t] >= 0:
+            r = rv[t]
+        elif lv[t] < 0:
+            r = -1.0
+        elif r is not None and r >= 0:
+            r = a * r
+        out[t] = g * a ** (n - t) if r is None else r
+    return out
 
 
 # The gamma cases fire at the last position (X), where no suffix position is
@@ -377,61 +412,67 @@ def _disc_next(p, cv):
 
 
 def _disc_finally(p, cv):
+    # m = max_i alpha^(i-t) cv[i] over the suffix
     n = len(cv)
     a, b = p.alpha, p.beta
-    return [b * max(a ** (i - t) * cv[i] for i in range(t, n)) for t in range(n)]
+    out = [0.0] * n
+    m = float("-inf")
+    for t in range(n - 1, -1, -1):
+        m = max(cv[t], a * m)
+        out[t] = b * m
+    return out
 
 
 def _disc_globally(p, cv):
+    # m = max_i alpha^(i-t) (1 - cv[i]) over the suffix
     n = len(cv)
     a, b = p.alpha, p.beta
-    return [
-        b * (1.0 - max(a ** (i - t) * (1.0 - cv[i]) for i in range(t, n)))
-        for t in range(n)
-    ]
+    out = [0.0] * n
+    m = float("-inf")
+    for t in range(n - 1, -1, -1):
+        m = max(1.0 - cv[t], a * m)
+        out[t] = b * (1.0 - m)
+    return out
 
 
 def _disc_until(p, lv, rv):
+    # alpha > 0 commutes with min and max, so the max-min over the suffix
+    # obeys u_t = max(g_t, min(f_t, alpha*u_(t+1))) with u_n = 0
     n = len(lv)
     a = p.alpha
-    out = []
-    for t in range(n):
-        best = 0.0
-        prefix = None  # min over alpha^(j-t) * lv[j] for j in [t, i)
-        for i in range(t, n):
-            term = a ** (i - t) * rv[i]
-            if prefix is not None:
-                term = min(term, prefix)
-            if term > best:
-                best = term
-            step = a ** (i - t) * lv[i]
-            prefix = step if prefix is None else min(prefix, step)
-        out.append(best)
+    out = [0.0] * n
+    u = 0.0
+    for t in range(n - 1, -1, -1):
+        u = max(rv[t], min(lv[t], a * u))
+        out[t] = u
+    return out
+
+
+def _rob_witness_highs(a, hs):
+    # h_t = max(hs[t], alpha*h_(t+1)) with h_n = 0, so a negative high never
+    # wins: the F and U value kernels' alpha-chain on the highs, so the bound
+    # dominates their values in floats
+    n = len(hs)
+    out = [0.0] * n
+    h = 0.0
+    for t in range(n - 1, -1, -1):
+        h = max(hs[t], a * h)
+        out[t] = h
     return out
 
 
 def _rob_finally_interval(p, child):
-    _, ch = child
-    n = len(ch)
+    n = len(child[1])
     a, b, g = p.alpha, p.beta, p.gamma
-    his = []
-    for t in range(n):
-        cands = [b * g * a ** (n - t)]
-        cands.extend(b * a ** (i - t) * ch[i] for i in range(t, n) if ch[i] >= 0)
-        his.append(max(cands))
-    return [0.0] * n, his
+    chain = _rob_witness_highs(a, child[1])
+    return [0.0] * n, [max(b * g * a ** (n - t), b * h) for t, h in enumerate(chain)]
 
 
 def _rob_until_interval(p, left, right):
-    _, rh = right
-    n = len(rh)
-    a = p.alpha
-    his = []
-    for t in range(n):
-        cands = [p.gamma * a ** (n - t)]
-        cands.extend(a ** (i - t) * rh[i] for i in range(t, n) if rh[i] >= 0)
-        his.append(max(cands))
-    return [-1.0] * n, his
+    n = len(right[1])
+    a, g = p.alpha, p.gamma
+    chain = _rob_witness_highs(a, right[1])
+    return [-1.0] * n, [max(g * a ** (n - t), h) for t, h in enumerate(chain)]
 
 
 # --- the table ---------------------------------------------------------------

@@ -246,38 +246,27 @@ def triviality_filter(f: Formula) -> bool:
 # --- admissible interval bound ---------------------------------------------------
 
 
-def _bound_root_hi(view: _View, assignment, states, p: SemanticsParams) -> float:
-    """Upper end of the root value interval at position 0 for one trace."""
-    n = len(states)
-    heights = view.template.heights
-    memo: dict[int, tuple[list, list]] = {}
-
-    def intervals(i):
-        if i in memo:
-            return memo[i]
-        slot = view.m[i]
-        # an unresolved hole is "?"; an unused one is None
-        label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
-        if label == "?":
-            los, his = [], []
-            for t in range(n):
-                lo, hi = value_range(heights[i], n - t, p)
-                los.append(lo)
-                his.append(hi)
-        elif label in OPS:
-            op = OPS[label]
-            if op.arity == 2:
-                los, his = op.interval(p, intervals(2 * i), intervals(2 * i + 1))
-            else:
-                los, his = op.interval(p, intervals(2 * i))
-        else:
-            los = literal_values(label, states, p)
-            his = list(los)
-        memo[i] = (los, his)
-        return memo[i]
-
-    _, his = intervals(1)
-    return his[0]
+def _intervals(view: _View, assignment, states, p: SemanticsParams, i: int):
+    """(lows, highs) of slot i's value at every position of one trace. Each
+    slot of the tree is reached once, from its parent."""
+    slot = view.m[i]
+    # an unresolved hole is "?"; unused slots are never reached
+    label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
+    if label == "?":
+        n = len(states)
+        height = view.template.heights[i]
+        los, his = [], []
+        for t in range(n):
+            lo, hi = value_range(height, n - t, p)
+            los.append(lo)
+            his.append(hi)
+        return los, his
+    op = OPS.get(label)
+    if op is None:
+        vals = literal_values(label, states, p)
+        return vals, vals
+    kids = [_intervals(view, assignment, states, p, 2 * i + k) for k in range(op.arity)]
+    return op.interval(p, *kids)
 
 
 def bound_mean_fitness(view: _View, assignment, sample: Sample, p: SemanticsParams) -> float:
@@ -285,7 +274,7 @@ def bound_mean_fitness(view: _View, assignment, sample: Sample, p: SemanticsPara
     partial assignment (each trace maximized independently)."""
     total = 0.0
     for trace in sample.traces:
-        total += _bound_root_hi(view, assignment, trace.states, p)
+        total += _intervals(view, assignment, trace.states, p, 1)[1][0]  # root high at 0
     return total / len(sample.traces)
 
 

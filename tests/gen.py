@@ -52,8 +52,9 @@ def _gen(rng, depth, atoms, mode, under_not):
     )
 
 
-def random_word(rng: random.Random, length: int, atoms):
-    return tuple(frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(length))
+def random_word(rng: random.Random, length: int, atoms, p_true: float = 0.5):
+    """Each atom holds at each position with probability p_true."""
+    return tuple(frozenset(a for a in atoms if rng.random() < p_true) for _ in range(length))
 
 
 def random_trace(rng: random.Random, length: int, atoms) -> Trace:

@@ -149,6 +149,29 @@ class TestSatisfiesAll:
         assert ok and per == [True]
 
 
+def _naive_nesting(f):
+    """Suffix-scan nesting of the naive oracle: F and G rescan every suffix
+    (1), the discounted U every pair of positions (2); X and the boolean
+    connectives add none."""
+    kids = [getattr(f, k) for k in ("child", "left", "right") if hasattr(f, k)]
+    inner = max((_naive_nesting(k) for k in kids), default=0)
+    if isinstance(f, Until):
+        return inner + 2
+    return inner + isinstance(f, (Finally, Globally))
+
+
+def _long_case(rng, mode):
+    """A depth-3 formula with at least one F, G or U that the naive oracle
+    evaluates on a word of length 64-256 in well under a second, and such a
+    word, with atoms true at rate 0.5, 0.9 or 1 so that long runs of
+    satisfied suffixes occur."""
+    f = random_formula(rng, depth=3, atoms=["p", "q", "r"], mode=mode)
+    while not 1 <= _naive_nesting(f) <= 2:
+        f = random_formula(rng, depth=3, atoms=["p", "q", "r"], mode=mode)
+    w = random_word(rng, rng.randint(64, 256), ["p", "q", "r"], rng.choice([0.5, 0.9, 1.0]))
+    return f, w
+
+
 class TestOracleEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -176,6 +199,47 @@ class TestOracleEquivalence:
         got = discounted_value(f, w, p)
         assert got.value == pytest.approx(naive_discounted(f, w, p), abs=1e-12)
         assert got.decisive
+
+    # long words: a per-suffix rescan and the kernels' reverse scans round
+    # differently, so values are held to 1e-12 relative
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_robust_matches_naive_on_long_words(self, seed):
+        rng = random.Random(seed)
+        p = rob(
+            alpha=rng.choice([0.5, 0.9, 0.97, 1.0]),
+            beta=rng.choice([0.7, 0.9, 1.0]),
+            gamma=rng.choice([0.0, 0.1, 0.5]),
+        )
+        f, w = _long_case(rng, "nnf")
+        got = robust_value(f, w, p)
+        want_value, want_flag = naive_robust(f, w, p)
+        assert got.value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+        assert got.decisive == want_flag
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_discounted_matches_naive_on_long_words(self, seed):
+        rng = random.Random(seed)
+        p = disc(alpha=rng.choice([0.5, 0.9, 0.97, 1.0]), beta=rng.choice([0.7, 0.9, 1.0]))
+        f, w = _long_case(rng, "general")
+        got = discounted_value(f, w, p)
+        assert got.value == pytest.approx(naive_discounted(f, w, p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("text", ["G((p | q))", "G(p)", "G((p & F(q)))", "G((q -> F(p)))"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.97])
+    def test_robust_globally_over_satisfied_suffixes(self, text, alpha):
+        # p holds everywhere, so G sums over every suffix: 256 terms at alpha 1
+        rng = random.Random(f"{text}{alpha}")
+        f = parse_formula(text)
+        p = rob(alpha=alpha, beta=0.9)
+        for n in (64, 200, 256):
+            w = tuple(s | {"p"} for s in random_word(rng, n, ["q"]))
+            got = robust_value(f, w, p)
+            want_value, want_flag = naive_robust(f, w, p)
+            assert want_value > 0
+            assert got.value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+            assert got.decisive == want_flag
 
 
 class TestInvariants:
