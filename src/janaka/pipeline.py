@@ -5,7 +5,8 @@ it clears kappa (path "llm-direct"), and otherwise turns the top-k candidates
 into templates and repairs them, iterating the strategies GTemp, Random,
 WithGF (in that order, under one shared budget) until the threshold is met
 (path "repaired") or the options run out (path "failed", best effort still
-reported).
+reported: the repair incumbent, or the top candidate when that scores
+strictly higher).
 """
 
 from __future__ import annotations
@@ -278,6 +279,12 @@ def janaka_run(
     chosen = None
     if best_outcome is not None and best_outcome.best is not None:
         chosen = format_formula(best_outcome.best.formula)
+        if not met and best_fit > best_outcome.fitness:
+            chosen = cand_rows[0]["formula"]
+            notes.append(
+                f"top candidate fitness {best_fit:.6g} beats the repair incumbent's "
+                f"{best_outcome.fitness:.6g}; reporting top candidate"
+            )
     elif cand_rows:
         chosen = cand_rows[0]["formula"]
         notes.append("repair produced no admissible formula; reporting top candidate")

@@ -13,6 +13,18 @@ fixed or assigned labels combine child intervals through their operator's
 interval kernel (:meth:`janaka.ops.Op.interval`); unresolved holes contribute
 the full value range of any formula fitting their remaining depth
 (:func:`janaka.semantics.value_range`).
+
+A search keeps one per-slot table (:class:`_SlotTable`) for its template,
+sample and semantics parameters. For every slot it holds, per trace, the
+interval vectors of the bound and the value vectors of leaf scoring, and the
+slot's decoded subformula. Each entry carries the slot's stamp at the time it was
+computed. Whenever the label of a hole differs from the one the table last
+saw, the stamps of that hole and of every ancestor (``i, i >> 1, ..., 1``)
+go up, so exactly the entries whose subtree changed are recomputed, in
+whatever order assignments arrive. Fixed subtrees, literal vectors and the
+value ranges of open holes are computed once per table. Leaf scores use the
+kernels, the per-trace summation and the division of
+:func:`janaka.semantics.sample_fitness`, so they equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +34,12 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .errors import EmptySampleError, NoTemplatesError, UnknownAtomError
+from .errors import (
+    EmptySampleError,
+    NoTemplatesError,
+    UnknownAtomError,
+    UnsupportedNegationError,
+)
 from .formulas import (
     TRUE_ATOM,
     And,
@@ -43,7 +60,7 @@ from .formulas import (
     node_count,
     satisfaction_vector,
 )
-from .ops import OPS, arity, literal_values
+from .ops import NEGATION, OPS, arity, literal_values
 from .semantics import SemanticsParams, sample_fitness, value_of, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
@@ -85,7 +102,8 @@ class RepairOutcome:
 
 
 class _View:
-    """Precomputed per-template search tables."""
+    """Precomputed per-template search tables, and the per-slot table of the
+    sample and parameters last asked for."""
 
     def __init__(self, template: Template, props: PropositionSet):
         self.template = template
@@ -93,6 +111,7 @@ class _View:
         self.order = sorted(self.m)
         self.labels = {i: template.labels_for(i, props) for i in template.hole_indices}
         self.hole_after = self._holes_after()
+        self._table: _SlotTable | None = None
 
     def _holes_after(self):
         flags = [isinstance(self.m[i], Hole) for i in self.order]
@@ -102,6 +121,134 @@ class _View:
             out.append(acc)
             acc += flag
         return list(reversed(out))
+
+    def table(self, sample: Sample, p: SemanticsParams) -> "_SlotTable":
+        """The per-slot table of this sample and these parameters; a table
+        built for another sample or parameters is replaced, never reused."""
+        t = self._table
+        if t is None or t.sample is not sample or t.params != p:
+            t = self._table = _SlotTable(self.template, sample, p)
+        return t
+
+
+class _SlotTable:
+    """Per-slot intervals, values and subformulas of one template over one
+    sample under one set of parameters, recomputed only where a hole label
+    below the slot changed (module docstring). Without a sample it decodes
+    formulas only."""
+
+    def __init__(self, template: Template, sample: Sample | None = None,
+                 p: SemanticsParams | None = None):
+        self.sample, self.params = sample, p
+        self.states = [trace.states for trace in sample.traces] if sample is not None else []
+        self.heights = template.heights
+        self.holes = template.hole_indices
+        # an unresolved hole is "?", an unused one None
+        self.label = {
+            i: slot.label if isinstance(slot, Fixed) else "?"
+            for i, slot in template.slots
+        }
+        self.stamp = dict.fromkeys(self.label, 0)
+        self._bounds: dict = {}
+        self._values: dict = {}
+        self._formulas: dict = {}
+        self._literals: dict = {}
+        self._ranges: dict = {}
+
+    def _sync(self, assignment) -> None:
+        label, stamp = self.label, self.stamp
+        for i in self.holes:
+            new = assignment.get(i, "?")
+            if label[i] != new:
+                label[i] = new
+                while i:
+                    stamp[i] += 1
+                    i >>= 1
+
+    def _entry(self, cache, leaf, combine, i):
+        """Slot i's cached entry, recomputed from its children's when the
+        stamp moved; unused slots are never reached."""
+        stamp = self.stamp[i]
+        hit = cache.get(i)
+        if hit is not None and hit[0] == stamp:
+            return hit[1]
+        label = self.label[i]
+        op = OPS.get(label)
+        if op is None:
+            out = leaf(label, i)
+        else:
+            out = combine(op, *[self._entry(cache, leaf, combine, 2 * i + k)
+                                for k in range(op.arity)])
+        cache[i] = (stamp, out)
+        return out
+
+    def _literal(self, label: str):
+        out = self._literals.get(label)
+        if out is None:
+            p = self.params
+            out = self._literals[label] = [literal_values(label, s, p) for s in self.states]
+        return out
+
+    def _open(self, height: int):
+        # (lows, highs) per trace of an unresolved hole of the given height
+        out = self._ranges.get(height)
+        if out is None:
+            p = self.params
+            out = self._ranges[height] = []
+            for states in self.states:
+                n = len(states)
+                ranges = [value_range(height, n - t, p) for t in range(n)]
+                out.append(([lo for lo, _ in ranges], [hi for _, hi in ranges]))
+        return out
+
+    def _bound_leaf(self, label, i):
+        if label == "?":
+            return self._open(self.heights[i])
+        return [(vals, vals) for vals in self._literal(label)]
+
+    def _bound_combine(self, op, *kids):
+        p = self.params
+        return [op.interval(p, *per_trace) for per_trace in zip(*kids)]
+
+    def _value_leaf(self, label, i):
+        if label == "?":
+            raise ValueError(f"slot {i} is unassigned")
+        return self._literal(label)
+
+    def _value_combine(self, op, *kids):
+        p = self.params
+        kernel = getattr(op, p.kind)
+        return [kernel(p, *per_trace) for per_trace in zip(*kids)]
+
+    def _formula_leaf(self, label, i):
+        if label == "?":
+            raise ValueError(f"slot {i} is unassigned")
+        return decode_label(label)
+
+    @staticmethod
+    def _formula_combine(op, *kids):
+        return op.cls(*kids)
+
+    def bound(self, assignment) -> float:
+        """Mean over the traces of the root's high at position 0."""
+        self._sync(assignment)
+        total = 0.0
+        for _, highs in self._entry(self._bounds, self._bound_leaf, self._bound_combine, 1):
+            total += highs[0]
+        return total / len(self.states)
+
+    def fitness(self, assignment) -> float:
+        """sample_fitness of the complete assignment's formula."""
+        self._sync(assignment)
+        total = 0.0
+        for vals in self._entry(self._values, self._value_leaf, self._value_combine, 1):
+            total += vals[0]
+        return total / len(self.states)
+
+    def formula(self, assignment) -> Formula:
+        """The formula of a complete assignment."""
+        self._sync(assignment)
+        return self._entry(self._formulas, self._formula_leaf, self._formula_combine, 1)
 
 
 def _child_demands(demand, m, i, label):
@@ -129,66 +276,58 @@ def _restore(demand, undo):
             demand[j] = old
 
 
-def _decode(m, assignment, i=1) -> Formula:
-    slot = m[i]
-    label = slot.label if isinstance(slot, Fixed) else assignment[i]
-    op = OPS.get(label)
-    if op is None:
-        return decode_label(label)
-    if op.arity == 2:
-        return op.cls(_decode(m, assignment, 2 * i), _decode(m, assignment, 2 * i + 1))
-    return op.cls(_decode(m, assignment, 2 * i))
-
-
 def _assignments(view: _View, prune=None):
     """Yield complete hole assignments in deterministic order.
 
     `prune(assignment, demand, next_pos)` is consulted right after each hole
     label choice; returning True abandons that branch.
     """
-    m, order = view.m, view.order
-    demand = {1: _LABELED}
-    assignment: dict[int, str | None] = {}
+    yield from _fill(view, prune, {1: _LABELED}, {}, 0)
 
-    def rec(k):
-        if k == len(order):
-            yield dict(assignment)
-            return
-        i = order[k]
-        want = demand.get(i, _UNUSED)
-        slot = m[i]
-        if want == _UNUSED:
-            if isinstance(slot, Fixed):
-                return  # a fixed node cannot be erased; dead branch
-            assignment[i] = None
-            undo = _child_demands(demand, m, i, None)
-            yield from rec(k + 1)
-            _restore(demand, undo)
-            del assignment[i]
-            return
+
+def _fill(view: _View, prune, demand, assignment, k):
+    # module-level, not a nested closure: a recursive closure refers to
+    # itself through its cell, a cycle that keeps the view and its slot
+    # table alive until the cyclic collector runs
+    order = view.order
+    if k == len(order):
+        yield dict(assignment)
+        return
+    m = view.m
+    i = order[k]
+    want = demand.get(i, _UNUSED)
+    slot = m[i]
+    if want == _UNUSED:
         if isinstance(slot, Fixed):
-            undo = _child_demands(demand, m, i, slot.label)
-            yield from rec(k + 1)
-            _restore(demand, undo)
-            return
-        for label in view.labels[i]:
-            assignment[i] = label
-            undo = _child_demands(demand, m, i, label)
-            if prune is None or not prune(assignment, demand, k + 1):
-                yield from rec(k + 1)
-            _restore(demand, undo)
-            del assignment[i]
-
-    yield from rec(0)
+            return  # a fixed node cannot be erased; dead branch
+        assignment[i] = None
+        undo = _child_demands(demand, m, i, None)
+        yield from _fill(view, prune, demand, assignment, k + 1)
+        _restore(demand, undo)
+        del assignment[i]
+        return
+    if isinstance(slot, Fixed):
+        undo = _child_demands(demand, m, i, slot.label)
+        yield from _fill(view, prune, demand, assignment, k + 1)
+        _restore(demand, undo)
+        return
+    for label in view.labels[i]:
+        assignment[i] = label
+        undo = _child_demands(demand, m, i, label)
+        if prune is None or not prune(assignment, demand, k + 1):
+            yield from _fill(view, prune, demand, assignment, k + 1)
+        _restore(demand, undo)
+        del assignment[i]
 
 
 def enumerate_fillings(template: Template, props: PropositionSet):
     """All structurally valid fillings, operators before literals, both in
     declared order; a hole-free template yields exactly its source formula."""
     view = _View(template, props)
+    table = _SlotTable(template)
     for assignment in _assignments(view):
         holes = tuple((i, assignment[i]) for i in sorted(assignment))
-        yield Filling(holes, _decode(view.m, assignment))
+        yield Filling(holes, table.formula(assignment))
 
 
 # --- triviality filter ----------------------------------------------------------
@@ -246,36 +385,10 @@ def triviality_filter(f: Formula) -> bool:
 # --- admissible interval bound ---------------------------------------------------
 
 
-def _intervals(view: _View, assignment, states, p: SemanticsParams, i: int):
-    """(lows, highs) of slot i's value at every position of one trace. Each
-    slot of the tree is reached once, from its parent."""
-    slot = view.m[i]
-    # an unresolved hole is "?"; unused slots are never reached
-    label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
-    if label == "?":
-        n = len(states)
-        height = view.template.heights[i]
-        los, his = [], []
-        for t in range(n):
-            lo, hi = value_range(height, n - t, p)
-            los.append(lo)
-            his.append(hi)
-        return los, his
-    op = OPS.get(label)
-    if op is None:
-        vals = literal_values(label, states, p)
-        return vals, vals
-    kids = [_intervals(view, assignment, states, p, 2 * i + k) for k in range(op.arity)]
-    return op.interval(p, *kids)
-
-
 def bound_mean_fitness(view: _View, assignment, sample: Sample, p: SemanticsParams) -> float:
     """Admissible upper bound on the mean fitness of any completion of the
     partial assignment (each trace maximized independently)."""
-    total = 0.0
-    for trace in sample.traces:
-        total += _intervals(view, assignment, trace.states, p, 1)[1][0]  # root high at 0
-    return total / len(sample.traces)
+    return view.table(sample, p).bound(assignment)
 
 
 # --- the search -------------------------------------------------------------------
@@ -286,6 +399,9 @@ def _validate_templates(templates, props):
         for _, slot in t.slots:
             labels = ()
             if isinstance(slot, Fixed):
+                if slot.label == NEGATION:
+                    # the slot tables evaluate the tree as given, never its NNF
+                    raise UnsupportedNegationError("templates carry literal negation only")
                 labels = (slot.label,)
             elif slot.allowed:
                 labels = slot.allowed
@@ -329,6 +445,7 @@ def repair(
 
     for template in templates:
         view = _View(template, sample.props)
+        table = view.table(sample, params)
 
         def prune(assignment, demand, k):
             nonlocal prunes
@@ -346,13 +463,16 @@ def repair(
             for assignment in _assignments(view, prune=prune):
                 if time.monotonic() > deadline or explored >= budget.node_limit:
                     raise _Expired
-                formula = _decode(view.m, assignment)
+                formula = table.formula(assignment)
                 if triviality_filter(formula):
                     continue
                 explored += 1
-                fit = sample_fitness(formula, sample, params)
+                fit = table.fitness(assignment)
+                if not (fit > best_fit or (fit == best_fit and best is not None)):
+                    continue
+                # the tie-break key only for leaves that can become the incumbent
                 key = (node_count(formula), format_formula(formula))
-                if fit > best_fit or (fit == best_fit and best is not None and key < best_key):
+                if fit > best_fit or key < best_key:
                     holes = tuple((i, assignment[i]) for i in sorted(assignment))
                     best = Filling(holes, formula)
                     best_fit = fit

@@ -1,16 +1,19 @@
+import gc
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janaka.errors import EmptySampleError, NoTemplatesError
+from janaka.errors import EmptySampleError, NoTemplatesError, UnsupportedNegationError
 from janaka.formulas import (
     Atom,
     Globally,
     Next,
     Not,
     PropositionSet,
+    decode_label,
     format_formula,
     node_count,
     parse_formula,
@@ -25,7 +28,8 @@ from janaka.repair import (
     repair,
     triviality_filter,
 )
-from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness
+from janaka.ops import OPS, literal_values
+from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, value_range
 from janaka.templates import RANDOM, Fixed, Hole, Template, make_templates, parse_template
 from janaka.traces import Sample, Trace
 
@@ -236,3 +240,164 @@ class TestRepair:
                 assert bnd == fit
             else:
                 assert bnd >= fit
+
+
+# --- reference: the per-call recursions the slot tables replaced, verbatim -----
+
+
+def _decode(m, assignment, i=1):
+    slot = m[i]
+    label = slot.label if isinstance(slot, Fixed) else assignment[i]
+    op = OPS.get(label)
+    if op is None:
+        return decode_label(label)
+    if op.arity == 2:
+        return op.cls(_decode(m, assignment, 2 * i), _decode(m, assignment, 2 * i + 1))
+    return op.cls(_decode(m, assignment, 2 * i))
+
+
+def _intervals(view, assignment, states, p, i):
+    """(lows, highs) of slot i's value at every position of one trace. Each
+    slot of the tree is reached once, from its parent."""
+    slot = view.m[i]
+    # an unresolved hole is "?"; unused slots are never reached
+    label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
+    if label == "?":
+        n = len(states)
+        height = view.template.heights[i]
+        los, his = [], []
+        for t in range(n):
+            lo, hi = value_range(height, n - t, p)
+            los.append(lo)
+            his.append(hi)
+        return los, his
+    op = OPS.get(label)
+    if op is None:
+        vals = literal_values(label, states, p)
+        return vals, vals
+    kids = [_intervals(view, assignment, states, p, 2 * i + k) for k in range(op.arity)]
+    return op.interval(p, *kids)
+
+
+def reference_bound(view, assignment, sample, p):
+    total = 0.0
+    for trace in sample.traces:
+        total += _intervals(view, assignment, trace.states, p, 1)[1][0]  # root high at 0
+    return total / len(sample.traces)
+
+
+def random_params(rng, kind=None):
+    return SemanticsParams(
+        alpha=rng.choice([0.5, 0.9, 0.97, 1.0]),
+        beta=rng.choice([0.8, 1.0]),
+        gamma=rng.choice([0.0, 0.1]),
+        kind=kind or rng.choice([ROBUST, DISCOUNTED]),
+    )
+
+
+def random_sample(rng, props):
+    return Sample(
+        tuple(random_trace(rng, rng.randint(1, 40), list(props))
+              for _ in range(rng.randint(1, 4))),
+        props,
+    )
+
+
+class TestSlotTables:
+    """The per-slot tables against the per-call recursions they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
+    def test_cached_results_equal_reference(self, seed, kind):
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        f = random_formula(rng, depth=rng.randint(2, 3), atoms=list(props), mode="nnf")
+        [template] = make_templates(
+            f, d=rng.randint(1, 2), strategy=RANDOM, hole_prob=0.6, seed=seed,
+        )
+        if len(template.hole_indices) > 5:
+            return
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        view = _View(template, props)
+        fillings = list(itertools.islice(enumerate_fillings(template, props), 2000))
+        rng.shuffle(fillings)
+        complete = [dict(fl.assignment) for fl in fillings[:60]]
+        holes = list(template.hole_indices)
+        # partial assignments: prefixes in slot order, as the search makes
+        # them, and arbitrary subsets of the holes
+        partial = []
+        for a in complete:
+            cut = rng.randint(0, len(holes))
+            partial.append({i: a[i] for i in holes[:cut]})
+            partial.append({i: a[i] for i in holes if rng.random() < 0.5})
+        queries = complete + partial
+        # out of search order, with revisits
+        for _ in range(3 * len(queries)):
+            a = rng.choice(queries)
+            assert bound_mean_fitness(view, a, sample, params) == reference_bound(
+                view, a, sample, params
+            )
+            if len(a) == len(holes):
+                table = view.table(sample, params)
+                formula = table.formula(a)
+                assert formula == _decode(view.m, a)
+                assert table.fitness(a) == sample_fitness(formula, sample, params)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_view_reused_with_another_sample_or_params(self, seed):
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q"])
+        f = random_formula(rng, depth=3, atoms=list(props), mode="nnf")
+        [template] = make_templates(f, d=2, strategy=RANDOM, hole_prob=0.6, seed=seed)
+        if len(template.hole_indices) > 5:
+            return
+        view = _View(template, props)
+        fillings = [
+            dict(fl.assignment)
+            for fl in itertools.islice(enumerate_fillings(template, props), 2000)
+        ]
+        kind = rng.choice([ROBUST, DISCOUNTED])
+        first = (random_sample(rng, props), random_params(rng, kind))
+        contexts = [
+            first,
+            (random_sample(rng, props), first[1]),  # another sample
+            (first[0], random_params(rng, kind)),  # other params
+            (first[0], random_params(rng, ROBUST if kind == DISCOUNTED else DISCOUNTED)),
+            first,  # and back
+        ]
+        for a in rng.sample(fillings, min(8, len(fillings))):
+            for sample, params in contexts:
+                assert bound_mean_fitness(view, a, sample, params) == reference_bound(
+                    view, a, sample, params
+                )
+                table = view.table(sample, params)
+                assert table.sample is sample and table.params == params
+                assert table.fitness(a) == sample_fitness(table.formula(a), sample, params)
+
+    def test_negation_slot_is_refused(self):
+        t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
+        with pytest.raises(UnsupportedNegationError):
+            repair(all_p_sample(), [t], SemanticsParams(kind=ROBUST), kappa=0.0)
+
+
+class TestNoCycles:
+    """A finished search leaves nothing for the cyclic collector: its view and
+    slot tables are freed by reference counting."""
+
+    @pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(node_limit=2)])
+    def test_no_view_outlives_repair(self, budget):
+        t = parse_template("G((?<1> -> ?<1>))")
+        sample = Sample(
+            (Trace(states({"p"}, {"q"}, {"p", "q"})), Trace(states({"q"}, {"p"}))), PQ
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            out = repair(sample, [t, t], SemanticsParams(kind=ROBUST), kappa=100.0,
+                         budget=budget)
+            left = [o for o in gc.get_objects() if isinstance(o, _View)]
+        finally:
+            gc.enable()
+        assert out.best is not None
+        assert left == []
