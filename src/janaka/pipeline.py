@@ -15,7 +15,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, JanakaError, NoTemplatesError, UnsupportedNegationError
@@ -157,6 +157,7 @@ def _outcome_dict(outcome: RepairOutcome, strategy: str | None) -> dict:
         "threshold_met": outcome.threshold_met,
         "budget_expired": outcome.budget_expired,
         "strategy": strategy,
+        "stats": asdict(outcome.stats),
     }
 
 

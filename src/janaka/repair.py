@@ -2,11 +2,31 @@
 
 The optimizer is a native branch-and-bound over hole labels: given a complete
 filling, every node score is determined by the semantics recursion, so the
-problem is purely discrete. Holes are assigned in slot-index order; a partial
-assignment is pruned when an admissible upper bound on the mean fitness of
-its completions falls strictly below the incumbent (strict, so equal-fitness
-optima survive for the deterministic tie-break: fewer nodes, then canonical
-text).
+problem is purely discrete. A partial assignment is pruned when an admissible
+upper bound on the mean fitness of its completions falls strictly below the
+incumbent (strict, so equal-fitness optima survive for the deterministic
+tie-break: fewer nodes, then canonical text).
+
+Enumeration. Each template is compiled once (:class:`_View`) into its holes in
+index (breadth-first) order and, per hole and per label of its parent, the
+labels the hole may take: operators before literals, in the order of
+:meth:`janaka.templates.Template.labels_for`, or only "unused" (None) where
+the parent's arity does not reach the hole. Labels that would leave a fixed
+slot below them unreached are dropped when compiling, so no branch dies
+later. One explicit stack walks the hole decisions (:func:`_assignments`);
+fixed slots take no step.
+
+Triviality. A filling is rejected exactly when :func:`triviality_filter`
+rejects its formula, but the search never walks a leaf to decide it:
+
+* GG and FF are cut when the label is chosen. A hole under a slot labelled
+  G (F) is never offered G (F), nor is a hole whose fixed left child is G (F);
+  a fixed G (F) over a fixed G (F) leaves the template nothing to enumerate.
+* Identical children, ``x & !x`` / ``x | !x``, and G or F over a
+  propositional tautology are closed-subtree rules. Every slot's table entry
+  carries the verdict ``(formula, propositional, trivial)`` of its subtree,
+  recomputed from its children's like the other entries below, and a leaf
+  whose root verdict is trivial is rejected unscored.
 
 The bound propagates per-position value intervals through the template:
 fixed or assigned labels combine child intervals through their operator's
@@ -17,7 +37,7 @@ the full value range of any formula fitting their remaining depth
 A search keeps one per-slot table (:class:`_SlotTable`) for its template,
 sample and semantics parameters. For every slot it holds, per trace, the
 interval vectors of the bound and the value vectors of leaf scoring, and the
-slot's decoded subformula. Each entry carries the slot's stamp at the time it was
+slot's verdict. Each entry carries the slot's stamp at the time it was
 computed. Whenever the label of a hole differs from the one the table last
 saw, the stamps of that hole and of every ancestor (``i, i >> 1, ..., 1``)
 go up, so exactly the entries whose subtree changed are recomputed, in
@@ -25,6 +45,8 @@ whatever order assignments arrive. Fixed subtrees, literal vectors and the
 value ranges of open holes are computed once per table. Leaf scores use the
 kernels, the per-trace summation and the division of
 :func:`janaka.semantics.sample_fitness`, so they equal it bit for bit.
+
+What a search did is counted in :class:`SearchStats`.
 """
 
 from __future__ import annotations
@@ -32,7 +54,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EmptySampleError,
@@ -60,14 +82,31 @@ from .formulas import (
     node_count,
     satisfaction_vector,
 )
-from .ops import NEGATION, OPS, arity, literal_values
+from .ops import (
+    AND,
+    BINARY_OPS,
+    FINALLY,
+    GLOBALLY,
+    NEGATION,
+    NEXT,
+    OPS,
+    OR,
+    UNARY_OPS,
+    UNTIL,
+    arity,
+    literal_values,
+)
 from .semantics import SemanticsParams, sample_fitness, value_of, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
 log = logging.getLogger("janaka.repair")
 
-_LABELED, _UNUSED = "labeled", "unused"
+_STACKING = (GLOBALLY, FINALLY)  # directly nested, these are degenerate
+_TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
+
+# why a search stopped
+EXHAUSTED, TIME, NODES = "exhausted", "time", "nodes"
 
 
 @dataclass(frozen=True)
@@ -89,6 +128,19 @@ class SearchBudget:
 
 
 @dataclass
+class SearchStats:
+    """What one repair call's search did, summed over its templates."""
+
+    leaves: int = 0  # complete fillings reached
+    cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
+    rejected_trivial: int = 0  # leaves whose stamped verdict is trivial
+    scored: int = 0  # leaves scored; equals RepairOutcome.explored
+    bound_calls: int = 0
+    prunes: int = 0  # bound calls that abandoned a branch
+    stop: str = EXHAUSTED  # exhausted | time | nodes
+
+
+@dataclass
 class RepairOutcome:
     best: Filling | None
     fitness: float
@@ -99,28 +151,68 @@ class RepairOutcome:
     threshold_met: bool
     budget_expired: bool = False
     strategy: str | None = None
+    stats: SearchStats = field(default_factory=SearchStats)
 
 
 class _View:
-    """Precomputed per-template search tables, and the per-slot table of the
-    sample and parameters last asked for."""
+    """A template compiled for the enumeration (module docstring), and the
+    per-slot table of the sample and parameters last asked for.
 
-    def __init__(self, template: Template, props: PropositionSet):
+    ``steps`` holds, per hole in index order, ``(slot, parent, offer,
+    unused)``. When the parent slot is a hole, ``offer`` maps its label to
+    the hole's ``(labels, cut)`` pair and ``unused`` is the pair for any
+    other label; when it is fixed or absent, ``parent`` is 0 and ``offer``
+    is the one pair. A pair's count is the number of labels the GG/FF cut
+    withholds there; with ``cut=False`` nothing is withheld, so that every
+    structurally valid filling is enumerated."""
+
+    def __init__(self, template: Template, props: PropositionSet, cut: bool = True):
         self.template = template
-        self.m = template.slot_map
-        self.order = sorted(self.m)
-        self.labels = {i: template.labels_for(i, props) for i in template.hole_indices}
-        self.hole_after = self._holes_after()
-        self._table: _SlotTable | None = None
+        self.m = m = template.slot_map
+        # a fixed slot without a parent is never reached; a fixed G (F) over
+        # a fixed G (F) makes every filling trivial
+        self.dead = any(
+            isinstance(slot, Fixed) and (
+                i > 1 and i >> 1 not in m
+                or cut and slot.label in _STACKING and m.get(2 * i) == slot
+            )
+            for i, slot in template.slots
+        )
+        fixed_below: dict[int, bool] = {}
+        for i in sorted(m, reverse=True):
+            fixed_below[i] = (isinstance(m[i], Fixed) or fixed_below.get(2 * i, False)
+                              or fixed_below.get(2 * i + 1, False))
+        self.steps = []
+        for i in template.hole_indices:
+            # a label must reach every child that has a fixed slot below it
+            own = [
+                lbl for lbl in template.labels_for(i, props)
+                if (arity(lbl) >= 1 or not fixed_below.get(2 * i, False))
+                and (arity(lbl) == 2 or not fixed_below.get(2 * i + 1, False))
+            ]
+            withheld = 0
+            below = m.get(2 * i)
+            if cut and isinstance(below, Fixed) and below.label in _STACKING and below.label in own:
+                own.remove(below.label)
+                withheld = 1
+            unused = ((), 0) if fixed_below[i] else ((None,), 0)
 
-    def _holes_after(self):
-        flags = [isinstance(self.m[i], Hole) for i in self.order]
-        out = []
-        acc = 0
-        for flag in reversed(flags):
-            out.append(acc)
-            acc += flag
-        return list(reversed(out))
+            def offer(parent_label):
+                # the root is always reached, a left child by any operator,
+                # a right child by a binary one
+                if i > 1 and arity(parent_label) < (2 if i % 2 else 1):
+                    return unused
+                if cut and i % 2 == 0 and parent_label in _STACKING and parent_label in own:
+                    return tuple(x for x in own if x != parent_label), withheld + 1
+                return tuple(own), withheld
+
+            parent = m.get(i >> 1)
+            if isinstance(parent, Hole):
+                by_label = {lbl: offer(lbl) for lbl in BINARY_OPS + UNARY_OPS}
+                self.steps.append((i, i >> 1, by_label, unused))
+            else:
+                self.steps.append((i, 0, offer(getattr(parent, "label", None)), unused))
+        self._table: _SlotTable | None = None
 
     def table(self, sample: Sample, p: SemanticsParams) -> "_SlotTable":
         """The per-slot table of this sample and these parameters; a table
@@ -132,10 +224,10 @@ class _View:
 
 
 class _SlotTable:
-    """Per-slot intervals, values and subformulas of one template over one
+    """Per-slot intervals, values and verdicts of one template over one
     sample under one set of parameters, recomputed only where a hole label
     below the slot changed (module docstring). Without a sample it decodes
-    formulas only."""
+    formulas and verdicts only."""
 
     def __init__(self, template: Template, sample: Sample | None = None,
                  p: SemanticsParams | None = None):
@@ -151,7 +243,7 @@ class _SlotTable:
         self.stamp = dict.fromkeys(self.label, 0)
         self._bounds: dict = {}
         self._values: dict = {}
-        self._formulas: dict = {}
+        self._verdicts: dict = {}
         self._literals: dict = {}
         self._ranges: dict = {}
 
@@ -220,14 +312,30 @@ class _SlotTable:
         kernel = getattr(op, p.kind)
         return [kernel(p, *per_trace) for per_trace in zip(*kids)]
 
-    def _formula_leaf(self, label, i):
+    @staticmethod
+    def _verdict_leaf(label, i):
         if label == "?":
             raise ValueError(f"slot {i} is unassigned")
-        return decode_label(label)
+        return decode_label(label), True, False
 
     @staticmethod
-    def _formula_combine(op, *kids):
-        return op.cls(*kids)
+    def _verdict_combine(op, *kids):
+        """The closed-subtree rules of :func:`triviality_filter` at one node,
+        given its children's verdicts; GG and FF are the enumeration's cut."""
+        formula = op.cls(*[f for f, _, _ in kids])
+        propositional = op.label not in _TEMPORAL and all(prop for _, prop, _ in kids)
+        if any(trivial for _, _, trivial in kids):
+            return formula, propositional, True
+        if op.arity == 2:
+            (left, _, _), (right, _, _) = kids
+            trivial = left == right or op.label in (AND, OR) and (
+                isinstance(right, Not) and right.child == left
+                or isinstance(left, Not) and left.child == right
+            )
+        else:
+            [(child, child_propositional, _)] = kids
+            trivial = op.label in _STACKING and child_propositional and _tautology(child)
+        return formula, propositional, trivial
 
     def bound(self, assignment) -> float:
         """Mean over the traces of the root's high at position 0."""
@@ -245,85 +353,69 @@ class _SlotTable:
             total += vals[0]
         return total / len(self.states)
 
+    def verdict(self, assignment) -> tuple[Formula, bool, bool]:
+        """(formula, propositional, trivial) of a complete assignment; GG and
+        FF nesting are not judged here (the enumeration cuts them)."""
+        self._sync(assignment)
+        return self._entry(self._verdicts, self._verdict_leaf, self._verdict_combine, 1)
+
     def formula(self, assignment) -> Formula:
         """The formula of a complete assignment."""
-        self._sync(assignment)
-        return self._entry(self._formulas, self._formula_leaf, self._formula_combine, 1)
+        return self.verdict(assignment)[0]
 
 
-def _child_demands(demand, m, i, label):
-    """Set demands implied by labeling slot i; returns undo list."""
-    n_children = arity(label)
-    if n_children == 2:
-        wants = (_LABELED, _LABELED)
-    elif n_children == 1:
-        wants = (_LABELED, _UNUSED)
-    else:  # literal or unused
-        wants = (_UNUSED, _UNUSED)
-    undo = []
-    for j, want in zip((2 * i, 2 * i + 1), wants):
-        if j in m:
-            undo.append((j, demand.get(j)))
-            demand[j] = want
-    return undo
+def _offered(step, assignment, stats):
+    """An iterator over the labels of a hole, given its parent's label."""
+    _, parent, offer, unused = step
+    labels, cut = offer.get(assignment[parent], unused) if parent else offer
+    if cut and stats is not None:
+        stats.cut_trivial += cut
+    return iter(labels)
 
 
-def _restore(demand, undo):
-    for j, old in undo:
-        if old is None:
-            demand.pop(j, None)
-        else:
-            demand[j] = old
+_DONE = object()
 
 
-def _assignments(view: _View, prune=None):
-    """Yield complete hole assignments in deterministic order.
+def _assignments(view: _View, prune=None, stats: SearchStats | None = None):
+    """Yield complete hole assignments in enumeration order (module
+    docstring), None marking an unused hole. The same dict is yielded every
+    time, updated in place: read it before resuming.
 
-    `prune(assignment, demand, next_pos)` is consulted right after each hole
-    label choice; returning True abandons that branch.
+    ``prune(assignment, h)`` is consulted right after the h-th hole (in index
+    order) gets a label; returning True abandons that branch. The labels the
+    GG/FF cut withholds are counted in ``stats.cut_trivial``.
     """
-    yield from _fill(view, prune, {1: _LABELED}, {}, 0)
-
-
-def _fill(view: _View, prune, demand, assignment, k):
-    # module-level, not a nested closure: a recursive closure refers to
-    # itself through its cell, a cycle that keeps the view and its slot
-    # table alive until the cyclic collector runs
-    order = view.order
-    if k == len(order):
-        yield dict(assignment)
+    if view.dead:
         return
-    m = view.m
-    i = order[k]
-    want = demand.get(i, _UNUSED)
-    slot = m[i]
-    if want == _UNUSED:
-        if isinstance(slot, Fixed):
-            return  # a fixed node cannot be erased; dead branch
-        assignment[i] = None
-        undo = _child_demands(demand, m, i, None)
-        yield from _fill(view, prune, demand, assignment, k + 1)
-        _restore(demand, undo)
-        del assignment[i]
+    steps = view.steps
+    assignment: dict = {}
+    if not steps:
+        yield assignment
         return
-    if isinstance(slot, Fixed):
-        undo = _child_demands(demand, m, i, slot.label)
-        yield from _fill(view, prune, demand, assignment, k + 1)
-        _restore(demand, undo)
-        return
-    for label in view.labels[i]:
-        assignment[i] = label
-        undo = _child_demands(demand, m, i, label)
-        if prune is None or not prune(assignment, demand, k + 1):
-            yield from _fill(view, prune, demand, assignment, k + 1)
-        _restore(demand, undo)
-        del assignment[i]
+    last = len(steps) - 1
+    stack = [_offered(steps[0], assignment, stats)]  # per decided hole, its labels left
+    while stack:
+        h = len(stack) - 1
+        slot = steps[h][0]
+        label = next(stack[h], _DONE)
+        if label is _DONE:
+            assignment.pop(slot, None)
+            stack.pop()
+            continue
+        assignment[slot] = label
+        if label is not None and prune is not None and prune(assignment, h):
+            continue
+        if h < last:
+            stack.append(_offered(steps[h + 1], assignment, stats))
+        else:
+            yield assignment
 
 
 def enumerate_fillings(template: Template, props: PropositionSet):
-    """All structurally valid fillings, operators before literals, both in
-    declared order; a hole-free template yields exactly its source formula."""
-    view = _View(template, props)
+    """All structurally valid fillings, trivial ones included, operators
+    before literals, both in declared order; a hole-free template yields
+    exactly its source formula."""
+    view = _View(template, props, cut=False)
     table = _SlotTable(template)
     for assignment in _assignments(view):
         holes = tuple((i, assignment[i]) for i in sorted(assignment))
@@ -333,23 +425,9 @@ def enumerate_fillings(template: Template, props: PropositionSet):
 # --- triviality filter ----------------------------------------------------------
 
 
-def _walk(f: Formula):
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(children(node))
-
-
-def _is_propositional(f: Formula) -> bool:
-    return all(
-        not isinstance(node, (Next, Finally, Globally, Until)) for node in _walk(f)
-    )
-
-
-def _propositional_tautology(f: Formula) -> bool:
-    if not _is_propositional(f):
-        return False
+def _tautology(f: Formula) -> bool:
+    """Whether a formula without temporal operators holds under every truth
+    assignment of its atoms; one with more than ten atoms counts as not."""
     atoms = sorted(atoms_of(f) - {TRUE_ATOM})
     if len(atoms) > 10:
         return False
@@ -362,24 +440,34 @@ def _propositional_tautology(f: Formula) -> bool:
     return all(satisfaction_vector(f, states))
 
 
+def _degenerate(f: Formula) -> tuple[bool, bool]:
+    """(f has a degenerate node, f has no temporal operator), bottom-up."""
+    kids = [_degenerate(c) for c in children(f)]
+    propositional = not isinstance(f, (Next, Finally, Globally, Until)) and all(
+        prop for _, prop in kids
+    )
+    bad = (
+        any(b for b, _ in kids)
+        or isinstance(f, (And, Or, Implies, Until)) and f.left == f.right
+        or isinstance(f, (And, Or)) and (f.right == Not(f.left) or f.left == Not(f.right))
+        or isinstance(f, Finally) and isinstance(f.child, Finally)
+        or isinstance(f, Globally) and isinstance(f.child, Globally)
+        or isinstance(f, (Finally, Globally)) and kids[0][1] and _tautology(f.child)
+    )
+    return bad, propositional
+
+
 def triviality_filter(f: Formula) -> bool:
     """True (reject) for degenerate synthesized formulas: a binary node with
     syntactically identical children, x|!x or x&!x, directly nested FF or GG
     (XX stays, it is not idempotent), and G/F applied to a propositional
-    tautology."""
-    for node in _walk(f):
-        if isinstance(node, (And, Or, Implies, Until)) and node.left == node.right:
-            return True
-        if isinstance(node, (And, Or)):
-            if node.right == Not(node.left) or node.left == Not(node.right):
-                return True
-        if isinstance(node, Finally) and isinstance(node.child, Finally):
-            return True
-        if isinstance(node, Globally) and isinstance(node.child, Globally):
-            return True
-        if isinstance(node, (Finally, Globally)) and _propositional_tautology(node.child):
-            return True
-    return False
+    tautology.
+
+    This is the reference definition: the search's choice-time GG/FF cut and
+    its stamped verdicts must reject exactly the fillings this rejects, and
+    the tests hold them to it. The search never calls it; it stays public
+    for the benchmark's brute-force optimum and for the tests."""
+    return _degenerate(f)[0]
 
 
 # --- admissible interval bound ---------------------------------------------------
@@ -413,6 +501,10 @@ def _validate_templates(templates, props):
                     raise UnknownAtomError(name, list(props))
 
 
+class _Stop(Exception):
+    """A budget ended the search; args[0] is the stop reason."""
+
+
 def repair(
     sample: Sample,
     templates: list[Template],
@@ -436,37 +528,36 @@ def repair(
     best: Filling | None = None
     best_fit = float("-inf")
     best_key = None
-    explored = 0
-    prunes = 0
-    expired = False
-
-    class _Expired(Exception):
-        pass
+    stats = SearchStats()
 
     for template in templates:
         view = _View(template, sample.props)
         table = view.table(sample, params)
+        last = len(view.steps) - 1
 
-        def prune(assignment, demand, k):
-            nonlocal prunes
+        def prune(assignment, h):
             if time.monotonic() > deadline:
-                raise _Expired
-            if best is None or view.hole_after[k - 1] < 1:
+                raise _Stop(TIME)
+            if best is None or h == last:
                 return False
-            ub = bound_mean_fitness(view, assignment, sample, params)
-            if ub < best_fit:
-                prunes += 1
+            stats.bound_calls += 1
+            if bound_mean_fitness(view, assignment, sample, params) < best_fit:
+                stats.prunes += 1
                 return True
             return False
 
         try:
-            for assignment in _assignments(view, prune=prune):
-                if time.monotonic() > deadline or explored >= budget.node_limit:
-                    raise _Expired
-                formula = table.formula(assignment)
-                if triviality_filter(formula):
+            for assignment in _assignments(view, prune, stats):
+                if time.monotonic() > deadline:
+                    raise _Stop(TIME)
+                if stats.scored >= budget.node_limit:
+                    raise _Stop(NODES)
+                stats.leaves += 1
+                formula, _, trivial = table.verdict(assignment)
+                if trivial:
+                    stats.rejected_trivial += 1
                     continue
-                explored += 1
+                stats.scored += 1
                 fit = table.fitness(assignment)
                 if not (fit > best_fit or (fit == best_fit and best is not None)):
                     continue
@@ -479,24 +570,26 @@ def repair(
                     best_key = key
                     log.debug(
                         "incumbent fitness=%.9f explored=%d prunes=%d formula=%s",
-                        fit, explored, prunes, format_formula(formula),
+                        fit, stats.scored, stats.prunes, format_formula(formula),
                     )
-        except _Expired:
-            expired = True
+        except _Stop as stop:
+            stats.stop = stop.args[0]
             break
 
     elapsed = time.monotonic() - start
+    explored, expired = stats.scored, stats.stop != EXHAUSTED
     if best is None:
-        log.info("repair found no admissible filling (explored=%d)", explored)
+        log.info("repair found no admissible filling (%s)", stats)
         return RepairOutcome(
-            None, float("-inf"), float("-inf"), [], explored, elapsed, False, expired
+            None, float("-inf"), float("-inf"), [], explored, elapsed, False, expired,
+            stats=stats,
         )
     fitness = sample_fitness(best.formula, sample, params)
     scores = [value_of(best.formula, w, params).value for w in sample.traces]
     sats = [eval_qualitative(best.formula, w) for w in sample.traces]
     log.info(
-        "repair done: fitness=%.9f total=%.9f explored=%d prunes=%d elapsed=%.3fs",
-        fitness, sum(scores), explored, prunes, elapsed,
+        "repair done: fitness=%.9f total=%.9f elapsed=%.3fs %s",
+        fitness, sum(scores), elapsed, stats,
     )
     return RepairOutcome(
         best=best,
@@ -507,4 +600,5 @@ def repair(
         elapsed=elapsed,
         threshold_met=fitness >= kappa,
         budget_expired=expired,
+        stats=stats,
     )

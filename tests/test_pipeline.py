@@ -1,7 +1,12 @@
+import configparser
+import dataclasses
+import shutil
+from pathlib import Path
+
 from janaka import pipeline
 from janaka.formulas import PropositionSet, parse_formula
 from janaka.llm import MockChatProvider
-from janaka.repair import Filling, RepairOutcome
+from janaka.repair import Filling, RepairOutcome, repair
 from janaka.semantics import ROBUST, SemanticsParams, sample_fitness, value_of
 from janaka.traces import Sample, Trace
 
@@ -70,3 +75,42 @@ class TestFailedPath:
         assert report.formula == "G((q | p))"
         assert not any("reporting top candidate" in note for note in report.notes)
 
+
+
+TABLE1 = Path(pipeline.__file__).parent / "suites" / "table1"
+
+
+class TestSearchStats:
+    def test_counts_agree_on_a_table1_case(self, monkeypatch, tmp_path):
+        # case5 on trace seed 0 reaches all three outcomes of a leaf or a
+        # choice: cut at a G/F label, rejected by its verdict, scored
+        case = tmp_path / "case5"
+        shutil.copytree(TABLE1 / "case5", case)
+        ini = configparser.ConfigParser()
+        ini.read(case / "case.ini")
+        ini["case"]["gen_seed"] = "0"
+        with open(case / "case.ini", "w") as fh:
+            ini.write(fh)
+        outcomes, reports = [], []
+        run_pipeline = pipeline.janaka_run
+
+        def spy_repair(*args, **kwargs):
+            outcomes.append(repair(*args, **kwargs))
+            return outcomes[-1]
+
+        def spy_run(*args, **kwargs):
+            reports.append(run_pipeline(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "repair", spy_repair)
+        monkeypatch.setattr(pipeline, "janaka_run", spy_run)
+        pipeline.run_case(case)
+        [outcome] = outcomes
+        stats = outcome.stats
+        assert stats.cut_trivial > 0 and stats.rejected_trivial > 0 and stats.scored > 0
+        assert stats.leaves == stats.rejected_trivial + stats.scored
+        assert stats.scored == outcome.explored
+        assert stats.prunes <= stats.bound_calls
+        assert stats.stop == "exhausted" and not outcome.budget_expired
+        [report] = reports
+        assert report.to_dict()["repair"]["stats"] == dataclasses.asdict(stats)

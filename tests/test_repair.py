@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import janaka.repair as repair_module
 from janaka.errors import EmptySampleError, NoTemplatesError, UnsupportedNegationError
 from janaka.formulas import (
     Atom,
+    Finally,
     Globally,
     Next,
     Not,
@@ -22,6 +24,9 @@ from janaka.repair import (
     Filling,
     RepairOutcome,
     SearchBudget,
+    SearchStats,
+    _assignments,
+    _SlotTable,
     _View,
     bound_mean_fitness,
     enumerate_fillings,
@@ -30,7 +35,15 @@ from janaka.repair import (
 )
 from janaka.ops import OPS, literal_values
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, value_range
-from janaka.templates import RANDOM, Fixed, Hole, Template, make_templates, parse_template
+from janaka.templates import (
+    RANDOM,
+    STRATEGIES,
+    Fixed,
+    Hole,
+    Template,
+    make_templates,
+    parse_template,
+)
 from janaka.traces import Sample, Trace
 
 from gen import random_formula, random_trace
@@ -79,6 +92,20 @@ class TestEnumerate:
         texts = [format_formula(f.formula) for f in enumerate_fillings(t, PQ)]
         assert texts == ["G((p U q))", "F((p U q))"]
 
+    def test_search_withholds_stacked_g_and_f(self):
+        # a G/F hole over a fixed G, a fixed G over a G/F hole, and a fixed
+        # G over a fixed G; enumerate_fillings keeps every filling
+        stats = SearchStats()
+        over = parse_template("?{G,F}(G(?<1>))")
+        assert [a[1] for a in _assignments(_View(over, PQ), stats=stats)] == ["F"] * 4
+        assert stats.cut_trivial == 1
+        assert len(list(enumerate_fillings(over, PQ))) == 8
+        under = parse_template("G(?{G,F,X}(p))")
+        assert [a[2] for a in _assignments(_View(under, PQ))] == ["F", "X"]
+        fixed = parse_template("G(G(?<1>))")
+        assert list(_assignments(_View(fixed, PQ))) == []
+        assert len(list(enumerate_fillings(fixed, PQ))) == 4
+
     def test_assignment_recorded(self):
         t = parse_template("G(?<1>)")
         first = next(enumerate_fillings(t, PQ))
@@ -109,6 +136,15 @@ class TestTrivialityFilter:
 
     def test_nested_containment(self):
         assert triviality_filter(parse_formula("G(r U (p & !p))")) is True
+
+
+def stacking_source(rng, props):
+    """A random NNF source, half the time under G or F, so that the G/F
+    holes of 'gtemp' and the pinned G/F nodes of 'withgf' stack on G or F."""
+    f = random_formula(rng, depth=rng.randint(1, 3), atoms=list(props), mode="nnf")
+    if rng.random() < 0.5:
+        f = rng.choice([Globally, Finally])(f)
+    return f
 
 
 def brute_force(templates, sample, params):
@@ -153,6 +189,7 @@ class TestRepair:
             kappa=0.0, budget=SearchBudget(node_limit=1),
         )
         assert out.budget_expired
+        assert out.stats.stop == "nodes"
         assert out.explored == 1
         assert format_formula(out.best.formula) == "G(p)"
 
@@ -164,14 +201,14 @@ class TestRepair:
         assert out.fitness == sample_fitness(out.best.formula, sample, params)
         assert out.total == pytest.approx(sum(s for s, _ in out.per_trace))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10 ** 9))
-    def test_exactness_vs_brute_force(self, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
+    def test_exactness_vs_brute_force(self, seed, strategy):
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
-        f = random_formula(rng, depth=rng.randint(1, 3), atoms=list(props), mode="nnf")
+        f = stacking_source(rng, props)
         templates = make_templates(
-            f, d=rng.randint(1, 2), strategy=RANDOM,
+            f, d=rng.randint(1, 2), strategy=strategy,
             hole_prob=rng.choice([0.3, 0.6]), seed=seed, count=2,
         )
         templates = [t for t in templates if len(t.hole_indices) <= 3]
@@ -196,6 +233,38 @@ class TestRepair:
             return
         assert out.fitness == -want[0][0]
         assert format_formula(out.best.formula) == want[0][2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
+    def test_accepted_leaves_are_the_filtered_enumeration(self, seed, strategy):
+        # with no incumbent pruning the search scores exactly the fillings
+        # the reference filter keeps, in enumeration order
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        [template] = make_templates(
+            stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
+            hole_prob=0.6, seed=seed,
+        )
+        if len(template.hole_indices) > 4:
+            return
+        sample = random_sample(rng, props)
+        scored = []
+        fitness = _SlotTable.fitness
+
+        def spy(table, assignment):
+            scored.append(table.formula(assignment))
+            return fitness(table, assignment)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repair_module, "bound_mean_fitness", lambda *args: float("inf"))
+            mp.setattr(_SlotTable, "fitness", spy)
+            repair(sample, [template], random_params(rng), kappa=0.0,
+                   budget=SearchBudget(time_limit=120.0))
+        want = [
+            fl.formula for fl in enumerate_fillings(template, props)
+            if not triviality_filter(fl.formula)
+        ]
+        assert scored == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -341,6 +410,40 @@ class TestSlotTables:
                 table = view.table(sample, params)
                 formula = table.formula(a)
                 assert formula == _decode(view.m, a)
+                assert table.fitness(a) == sample_fitness(formula, sample, params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
+           st.sampled_from(STRATEGIES))
+    def test_stamped_verdict_equals_filter(self, seed, kind, strategy):
+        # every leaf the search reaches (GG/FF already cut), queried out of
+        # order and with revisits, between bound and fitness queries that
+        # move the same stamps
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        [template] = make_templates(
+            stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
+            hole_prob=0.6, seed=seed,
+        )
+        if len(template.hole_indices) > 7:
+            return
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        view = _View(template, props)
+        table = view.table(sample, params)
+        leaves = [dict(a) for a in itertools.islice(_assignments(view), 2000)]
+        if not leaves:
+            return
+        queries = rng.sample(leaves, min(60, len(leaves)))
+        holes = list(template.hole_indices)
+        for _ in range(3 * len(queries)):
+            a = rng.choice(queries)
+            if rng.random() < 0.3:
+                bound_mean_fitness(view, {i: a[i] for i in holes if rng.random() < 0.5},
+                                   sample, params)
+            formula, _, trivial = table.verdict(a)
+            assert formula == _decode(view.m, a)
+            assert trivial == triviality_filter(formula)
+            if rng.random() < 0.3:
                 assert table.fitness(a) == sample_fitness(formula, sample, params)
 
     @settings(max_examples=20, deadline=None)
