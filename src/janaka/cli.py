@@ -25,7 +25,6 @@ from .pipeline import (
     eval_formula,
     format_bench_table,
     janaka_run,
-    load_sample,
 )
 from .repair import SearchBudget, repair
 from .semantics import DISCOUNTED, ROBUST, SemanticsParams
@@ -89,12 +88,14 @@ def _read_config(path: str | None) -> dict:
 
 
 def _setting(args, config: dict, key: str, default, cast=None):
+    """The flag's value, else the INI text (cast when a cast is given), else
+    the default, which is returned as it is."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-        if cast is not None and isinstance(value, str):
-            value = cast(value)
-    return value
+    if value is not None:
+        return value
+    if key not in config:
+        return default
+    return config[key] if cast is None else cast(config[key])
 
 
 def _semantics(args, config) -> SemanticsParams:
@@ -147,7 +148,6 @@ def cmd_mine(args) -> int:
         fixtures=_setting(args, config, "fixtures", None),
         seed=int(_setting(args, config, "seed", 0, int)),
         budget=_budget(args, config),
-        out_path=args.out,
         n_candidates=int(_setting(args, config, "n-candidates", 5, int)),
         mode=_setting(args, config, "mode", "oneshot"),
         template_count=int(_setting(args, config, "template-count", 4, int)),

@@ -4,23 +4,46 @@ The native repair search is the reference optimizer; this export exists for
 interoperability and cross-validation. The model has one binary x_{i,label}
 per slot and admissible label, continuous scores y_{i,t,trace}, and the
 objective maximizes the summed root scores over the sample. Label-to-equation
-linking is indicator-style, realized as big-M inequality pairs; min/max terms
-are linearized with selector binaries; big-M constants are derived per node
-from the proven value ranges ([0,1] discounted, [-1, robust_upper_bound]
-robust).
+linking is indicator-style, realized as big-M inequality pairs gated on
+binaries that must be 1 and binaries that must be 0, so no complement binary
+is ever made; min/max terms are linearized with selector binaries; big-M
+constants are derived per node from the proven value ranges ([0,1]
+discounted, [-1, robust_upper_bound] robust).
 
-The robust encoding splits operator cases on score signs using an epsilon
-margin (scores in (-eps, 0) are not representable; synthesized scores stay
-far outside that band at desk scale) and emits the conjunction's bilinear
-score product as a quadratic constraint row.
+The robust encoding splits operator cases on score signs, one sign binary
+per score, with a margin below zero of EPS times the split's big-M (scores
+in that band are not representable; synthesized scores stay far outside it
+at desk scale), and emits the conjunction's bilinear score product as a
+quadratic constraint row.
 
-Two solution paths are provided for cross-checks: `lp_optimum` parses the
-emitted subset back and solves it with scipy's MILP solver (linear models
-only: it refuses the robust encoding's quadratic rows), and
-`lp_enumerate_optimum` rebuilds the template from the encoded binaries and
-exhaustively scores every structural assignment, as a solver-free fallback.
-The fallback and `template_from_lp` read only the bounds and binaries, so
-they serve robust models as well as discounted ones.
+The temporal operators are encoded by the kernels' right-to-left scans
+(:mod:`janaka.ops`): each position's rows read only the auxiliaries of the
+next position, so the model grows linearly with the trace length. With v the
+child scores, f and g the left and right ones, s the sign binaries and n the
+word length:
+
+* discounted F: w_t = max(v_t, alpha*w_{t+1}), y = beta*w_t; G: the same on
+  1 - v, y = beta*(1 - w_t); U: u_t = min(f_t, alpha*V_{t+1}),
+  V_t = max(g_t, u_t), V_n = 0, y = V_t.
+* robust G: ok_t = s_t and ok_{t+1}, S_t = v_t + alpha*S_{t+1};
+  y = beta*S_t where ok_t, else -beta.
+* robust F: the witness chain r_t = v_t where s_t, else alpha*r_{t+1}
+  (r_n = 0), and none_t = not s_t and none_{t+1}; y = beta*gamma*alpha^(n-t)
+  where none_t, else beta*r_t.
+* robust U: the chain on g, and three exclusive states:
+  fail_t = not s^g_t and (not s^f_t or fail_{t+1}),
+  none_t = not s^g_t and s^f_t and none_{t+1}, the witness otherwise;
+  y = -1 on fail, gamma*alpha^(n-t) on none, r_t on the witness.
+
+What verifies both encodings against the semantics is the forcing check in
+tests/test_milp.py: with x fixed to a filling and every other used slot's
+scores fixed to their native values, each slot's rows admit exactly its
+native scores.
+
+`lp_optimum` parses the emitted subset back and solves it with scipy's MILP
+solver (linear models only: it refuses the robust encoding's quadratic rows);
+`template_from_lp` reads only the bounds and binaries, so it rebuilds the
+template of robust models as well as discounted ones.
 """
 
 from __future__ import annotations
@@ -30,11 +53,15 @@ import io
 from .errors import DepthExceededError, UnsupportedForExportError
 from .formulas import TRUE_ATOM
 from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code, literal_values
-from .semantics import DISCOUNTED, SemanticsParams, value_of, value_range
+from .semantics import DISCOUNTED, SemanticsParams, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
-EPS = 1e-9
+# The sign split's margin below zero, per unit of the split's big-M. A solver
+# takes a binary within its integrality tolerance (1e-6 in HiGHS) of 0 or 1
+# as integral, which moves a big-M row by up to M*1e-6; a margin under that
+# lets a zero score read as negative.
+EPS = 1e-5
 
 
 def _fmt(x: float) -> str:
@@ -67,10 +94,11 @@ class _Emitter:
         (self.quads if quad else self.rows).append(line)
 
     def eq_gated(self, yvar: str, terms: list[tuple[float, str]], const: float,
-                 gates: list[str], m: float):
-        """y = const + sum(terms) whenever all gate binaries are 1."""
+                 gates: list[str], m: float, off=()):
+        """y = const + sum(terms) whenever every gate binary is 1 and every
+        `off` binary is 0."""
         k = len(gates)
-        gate_terms = [(m, g) for g in gates]
+        gate_terms = [(m, g) for g in gates] + [(-m, b) for b in off]
         self.row([(1.0, yvar)] + [(-c, v) for c, v in terms] + gate_terms, "<=", const + m * k)
         self.row([(-1.0, yvar)] + [(c, v) for c, v in terms] + gate_terms, "<=", -const + m * k)
 
@@ -136,7 +164,7 @@ class _Encoder:
         m = self.absbound(i, t, n) + 1.0
         yv = self.y(i, t, tr)
         self.e.row([(1.0, yv), (-m, s)], ">=", -m)
-        self.e.row([(1.0, yv), (-m, s)], "<=", -EPS)
+        self.e.row([(1.0, yv), (-m, s)], "<=", -EPS * m)
         self.e.binaries.append(s)
         self.signs[key] = s
         return s
@@ -183,6 +211,7 @@ class _Encoder:
     # --- scores ------------------------------------------------------------------
 
     def encode_scores(self):
+        case = self._disc_case if self.p.kind == DISCOUNTED else self._rob_case
         for tr, trace in enumerate(self.sample.traces):
             n = len(trace.states)
             for i in sorted(self.labels):
@@ -193,11 +222,11 @@ class _Encoder:
                     )
             for i, labels in sorted(self.labels.items()):
                 for lbl in labels:
-                    for t in range(n):
-                        if self.p.kind == DISCOUNTED:
-                            self._disc_case(i, lbl, t, tr, trace)
-                        else:
-                            self._rob_case(i, lbl, t, tr, trace, n)
+                    # right to left, as the kernels scan: a temporal case
+                    # returns the auxiliaries position t-1 reads
+                    nxt = None
+                    for t in range(n - 1, -1, -1):
+                        nxt = case(i, lbl, t, tr, trace, n, nxt)
 
     # discounted cases ---------------------------------------------------------
 
@@ -206,8 +235,13 @@ class _Encoder:
 
         The non-selector rows pin w on the kind's side of every term; the
         selected term's row turns tight, forcing equality with the extremum.
+        A single term needs no selector: w equals it.
         """
         e = self.e
+        e.bounds.append(f"{_fmt(-m)} <= {wname} <= {_fmt(m)}")
+        if len(terms) == 1:
+            e.row([(1.0, wname)] + [(-c, v) for c, v in terms[0]], "=", consts[0])
+            return
         sel = []
         for k, (term, const) in enumerate(zip(terms, consts)):
             z = self.fresh_binary(f"{wname}_z{k}")
@@ -219,108 +253,91 @@ class _Encoder:
                 e.row([(1.0, wname)] + [(-c, v) for c, v in term], "<=", const)
                 e.row([(1.0, wname)] + [(-c, v) for c, v in term] + [(-m, z)], ">=", const - m)
         e.row([(1.0, z) for z in sel], "=", 1.0)
-        e.bounds.append(f"{_fmt(-m)} <= {wname} <= {_fmt(m)}")
 
-    def _disc_case(self, i, lbl, t, tr, trace):
+    def _disc_case(self, i, lbl, t, tr, trace, n, nxt):
         e = self.e
         p = self.p
-        n = len(trace.states)
         xv = self.x(i, lbl)
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
         m = 2.0
         if lbl not in OPS:  # literal
             e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m)
-            return
+            return None
         if lbl == "X":
             if t + 1 < n:
                 e.eq_gated(yv, [(p.alpha, self.y(j, t + 1, tr))], 0.0, [xv], m)
             else:
                 e.eq_gated(yv, [], 0.0, [xv], m)
-            return
-        if lbl in ("&", "|"):
-            w = f"w_{i}_{t}_{tr}_{label_code(lbl)}"
-            kind = "min" if lbl == "&" else "max"
+            return None
+        w = f"w_{i}_{t}_{tr}_{label_code(lbl)}"
+        if lbl in ("&", "|", "->"):
+            # beta*min(f, g), beta*max(f, g), beta*max(1 - f, g)
+            imp = lbl == "->"
             self._minmax(
                 w,
-                [[(1.0, self.y(j, t, tr))], [(1.0, self.y(jr, t, tr))]],
-                [0.0, 0.0],
-                kind,
+                [[(-1.0 if imp else 1.0, self.y(j, t, tr))], [(1.0, self.y(jr, t, tr))]],
+                [1.0 if imp else 0.0, 0.0],
+                "min" if lbl == "&" else "max",
                 m,
             )
             e.eq_gated(yv, [(p.beta, w)], 0.0, [xv], m)
-            return
-        if lbl == "->":
-            w = f"w_{i}_{t}_{tr}_imp"
-            self._minmax(
-                w,
-                [[(-1.0, self.y(j, t, tr))], [(1.0, self.y(jr, t, tr))]],
-                [1.0, 0.0],
-                "max",
-                m,
-            )
-            e.eq_gated(yv, [(p.beta, w)], 0.0, [xv], m)
-            return
+            return None
+        carry = [[(p.alpha, nxt)]] if nxt else []
         if lbl == "F":
-            w = f"w_{i}_{t}_{tr}_f"
-            terms = [[(p.alpha ** (k - t), self.y(j, k, tr))] for k in range(t, n)]
-            self._minmax(w, terms, [0.0] * len(terms), "max", m)
+            # w_t = max(v_t, alpha*w_{t+1})
+            self._minmax(w, [[(1.0, self.y(j, t, tr))]] + carry, [0.0, 0.0], "max", m)
             e.eq_gated(yv, [(p.beta, w)], 0.0, [xv], m)
-            return
+            return w
         if lbl == "G":
-            w = f"w_{i}_{t}_{tr}_g"
-            terms = [[(-(p.alpha ** (k - t)), self.y(j, k, tr))] for k in range(t, n)]
-            consts = [p.alpha ** (k - t) for k in range(t, n)]
-            self._minmax(w, terms, consts, "max", m)
+            # w_t = max(1 - v_t, alpha*w_{t+1}); y = beta*(1 - w_t)
+            self._minmax(w, [[(-1.0, self.y(j, t, tr))]] + carry, [1.0, 0.0], "max", m)
             e.eq_gated(yv, [(-p.beta, w)], p.beta, [xv], m)
-            return
+            return w
         if lbl == "U":
-            vs = []
-            for w_i in range(t, n):
-                v = f"w_{i}_{t}_{tr}_u{w_i}"
-                terms = [[(p.alpha ** (w_i - t), self.y(jr, w_i, tr))]]
-                consts = [0.0]
-                for k in range(t, w_i):
-                    terms.append([(p.alpha ** (k - t), self.y(j, k, tr))])
-                    consts.append(0.0)
-                self._minmax(v, terms, consts, "min", m)
-                vs.append(v)
-            w = f"w_{i}_{t}_{tr}_umax"
-            self._minmax(w, [[(1.0, v)] for v in vs], [0.0] * len(vs), "max", m)
+            # V_t = max(g_t, u_t), u_t = min(f_t, alpha*V_{t+1}); at the last
+            # position V_n = 0 and f >= 0 make V = g
+            terms = [[(1.0, self.y(jr, t, tr))]]
+            if nxt:
+                u = f"w_{i}_{t}_{tr}_umin"
+                self._minmax(u, [[(1.0, self.y(j, t, tr))]] + carry, [0.0, 0.0], "min", m)
+                terms.append([(1.0, u)])
+            self._minmax(w, terms, [0.0, 0.0], "max", m)
             e.eq_gated(yv, [(1.0, w)], 0.0, [xv], m)
-            return
+            return w
         raise UnsupportedForExportError(f"label {lbl!r}")
 
     # robust cases ---------------------------------------------------------------
 
-    def _and_gate(self, name, parts):
-        """Binary equal to the conjunction of the given binaries."""
+    def _and_gate(self, name, parts, off=()):
+        """Binary equal to the conjunction of the `parts` binaries and the
+        negations of the `off` binaries."""
         g = self.fresh_binary(name)
         for b in parts:
             self.e.row([(1.0, g), (-1.0, b)], "<=", 0.0)
-        self.e.row([(1.0, g)] + [(-1.0, b) for b in parts], ">=", 1 - len(parts))
+        for b in off:
+            self.e.row([(1.0, g), (1.0, b)], "<=", 1.0)
+        self.e.row(
+            [(1.0, g)] + [(-1.0, b) for b in parts] + [(1.0, b) for b in off],
+            ">=",
+            1 - len(parts),
+        )
         return g
 
-    def _first_witness(self, base, child, t, tr, n):
-        """Selectors z_t'..z_{n-1}, z_none: first position >= t with a
-        non-negative child score (exactly one fires)."""
-        sel = []
-        for k in range(t, n):
-            z = self.fresh_binary(f"{base}_w{k}")
-            s_k = self.sign(child, k, tr, n)
-            self.e.row([(1.0, z), (-1.0, s_k)], "<=", 0.0)
-            for before in range(t, k):
-                s_b = self.sign(child, before, tr, n)
-                self.e.row([(1.0, z), (1.0, s_b)], "<=", 1.0)
-            sel.append(z)
-        z_none = self.fresh_binary(f"{base}_wnone")
-        for k in range(t, n):
-            s_k = self.sign(child, k, tr, n)
-            self.e.row([(1.0, z_none), (1.0, s_k)], "<=", 1.0)
-        self.e.row([(1.0, z) for z in sel] + [(1.0, z_none)], "=", 1.0)
-        return sel, z_none
+    def _witness_chain(self, name, child, t, tr, n, nxt):
+        """r_t = v_t where v_t >= 0, else alpha*r_{t+1} (r_n = 0), the robust
+        F and U kernels' chain; returns the sign binary of v_t and r_t's high."""
+        s = self.sign(child, t, tr, n)
+        r_next, hi_next = nxt if nxt else (None, 0.0)
+        hi = max(self.absbound(child, t, n), self.p.alpha * hi_next)
+        m = 2 * hi
+        self.e.eq_gated(name, [(1.0, self.y(child, t, tr))], 0.0, [s], m)
+        carry = [(self.p.alpha, r_next)] if r_next else []
+        self.e.eq_gated(name, carry, 0.0, [], m, off=[s])
+        self.e.bounds.append(f"0 <= {name} <= {_fmt(hi)}")
+        return s, hi
 
-    def _rob_case(self, i, lbl, t, tr, trace, n):
+    def _rob_case(self, i, lbl, t, tr, trace, n, nxt):
         e = self.e
         p = self.p
         xv = self.x(i, lbl)
@@ -329,18 +346,16 @@ class _Encoder:
         m_i = self.absbound(i, t, n) + 1.0
         if lbl not in OPS:  # literal
             e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m_i)
-            return
+            return None
         if lbl == "X":
             if t + 1 >= n:
                 e.eq_gated(yv, [], p.gamma, [xv], m_i)
-                return
+                return None
             s = self.sign(j, t + 1, tr, n)
             m = m_i + self.absbound(j, t + 1, n)
             e.eq_gated(yv, [(1.0, self.y(j, t + 1, tr))], 0.0, [xv, s], m)
-            ns = self.fresh_binary(f"nsx_{i}_{t}_{tr}")
-            e.row([(1.0, ns), (1.0, s)], "=", 1.0)
-            e.eq_gated(yv, [], -1.0, [xv, ns], m)
-            return
+            e.eq_gated(yv, [], -1.0, [xv], m, off=[s])
+            return None
         if lbl in ("&",):
             sl, sr = self.sign(j, t, tr, n), self.sign(jr, t, tr, n)
             both = self._and_gate(f"b_{i}_{t}_{tr}_and", [sl, sr])
@@ -358,10 +373,8 @@ class _Encoder:
                 2 * m,
                 quad=[(p.beta, self.y(j, t, tr), self.y(jr, t, tr))],
             )
-            nboth = self.fresh_binary(f"nb_{i}_{t}_{tr}_and")
-            e.row([(1.0, nboth), (1.0, both)], "=", 1.0)
-            e.eq_gated(yv, [], -1.0, [xv, nboth], m)
-            return
+            e.eq_gated(yv, [], -1.0, [xv], m, off=[both])
+            return None
         if lbl in ("|", "->"):
             sl, sr = self.sign(j, t, tr, n), self.sign(jr, t, tr, n)
             yl, yr = self.y(j, t, tr), self.y(jr, t, tr)
@@ -372,68 +385,68 @@ class _Encoder:
                 max_terms = [[(1.0, yl)], [(1.0, yr)]]
             else:
                 # avg case requires left < 0 and right >= 0
-                nl = self.fresh_binary(f"ns_{i}_{t}_{tr}")
-                e.row([(1.0, nl), (1.0, sl)], "=", 1.0)
-                gate = self._and_gate(f"b_{i}_{t}_{tr}_imp", [nl, sr])
+                gate = self._and_gate(f"b_{i}_{t}_{tr}_imp", [sr], off=[sl])
                 avg_terms = [(-p.beta / 2, yl), (p.beta / 2, yr)]
                 max_terms = [[(-1.0, yl)], [(1.0, yr)]]
             e.eq_gated(yv, avg_terms, 0.0, [xv, gate], m)
             w = f"w_{i}_{t}_{tr}_{label_code(lbl)}"
             self._minmax(w, max_terms, [0.0, 0.0], "max", m)
-            ngate = self.fresh_binary(f"n{gate}")
-            e.row([(1.0, ngate), (1.0, gate)], "=", 1.0)
-            e.eq_gated(yv, [(p.beta, w)], 0.0, [xv, ngate], m)
-            return
+            e.eq_gated(yv, [(p.beta, w)], 0.0, [xv], m, off=[gate])
+            return None
         if lbl == "G":
-            parts = [self.sign(j, k, tr, n) for k in range(t, n)]
-            allpos = self._and_gate(f"b_{i}_{t}_{tr}_g", parts)
-            terms = [(p.beta * p.alpha ** (k - t), self.y(j, k, tr)) for k in range(t, n)]
-            m = m_i + sum(abs(c) * self.absbound(j, k, n) for (c, _), k in zip(terms, range(t, n)))
-            e.eq_gated(yv, terms, 0.0, [xv, allpos], m)
-            nall = self.fresh_binary(f"nb_{i}_{t}_{tr}_g")
-            e.row([(1.0, nall), (1.0, allpos)], "=", 1.0)
-            e.eq_gated(yv, [], -p.beta, [xv, nall], m)
-            return
+            # ok_t = s_t and ok_{t+1}; S_t = v_t + alpha*S_{t+1} (Horner)
+            s = self.sign(j, t, tr, n)
+            lo, hi = self.ybound(j, t, n)
+            s_sum = f"S_{i}_{t}_{tr}"
+            horner = [(1.0, s_sum), (-1.0, self.y(j, t, tr))]
+            ok = s
+            if nxt:
+                ok_next, s_next, lo_next, hi_next = nxt
+                lo, hi = lo + p.alpha * lo_next, hi + p.alpha * hi_next
+                horner.append((-p.alpha, s_next))
+                ok = self._and_gate(f"ok_{i}_{t}_{tr}", [s, ok_next])
+            e.row(horner, "=", 0.0)
+            e.bounds.append(f"{_fmt(lo)} <= {s_sum} <= {_fmt(hi)}")
+            m = m_i + p.beta * max(-lo, hi)
+            e.eq_gated(yv, [(p.beta, s_sum)], 0.0, [xv, ok], m)
+            e.eq_gated(yv, [], -p.beta, [xv], m, off=[ok])
+            return ok, s_sum, lo, hi
         if lbl == "F":
-            sel, z_none = self._first_witness(f"fw_{i}_{t}_{tr}", j, t, tr, n)
-            m = m_i + max(self.absbound(j, k, n) for k in range(t, n))
-            for z, k in zip(sel, range(t, n)):
-                e.eq_gated(
-                    yv, [(p.beta * p.alpha ** (k - t), self.y(j, k, tr))], 0.0, [xv, z], m
-                )
-            e.eq_gated(yv, [], p.beta * p.gamma * p.alpha ** (n - t), [xv, z_none], m)
-            return
+            # none_t = not s_t and none_{t+1}, none_n true, as (binaries that
+            # must be 1, binaries that must be 0): at the last position it is
+            # not s_t itself
+            chain_next, none_next = nxt if nxt else (None, None)
+            r = f"r_{i}_{t}_{tr}_f"
+            s, hi = self._witness_chain(r, j, t, tr, n, chain_next)
+            if none_next is None:
+                none = ([], [s])
+            else:
+                on, off = none_next
+                none = ([self._and_gate(f"none_{i}_{t}_{tr}_f", on, [s] + off)], [])
+            m = m_i + p.beta * hi
+            e.eq_gated(yv, [(p.beta, r)], 0.0, [xv] + none[1], m, off=none[0])
+            e.eq_gated(yv, [], p.beta * p.gamma * p.alpha ** (n - t), [xv] + none[0], m,
+                       off=none[1])
+            return (r, hi), none
         if lbl == "U":
-            sel, z_none = self._first_witness(f"uw_{i}_{t}_{tr}", jr, t, tr, n)
-            m = m_i + max(
-                self.absbound(jr, k, n) for k in range(t, n)
-            ) + max(self.absbound(j, k, n) for k in range(t, n))
-            for z, k in zip(sel, range(t, n)):
-                prefix = [self.sign(j, b, tr, n) for b in range(t, k)]
-                if prefix:
-                    pref = self._and_gate(f"up_{i}_{t}_{tr}_{k}", prefix)
-                    npref = self.fresh_binary(f"nup_{i}_{t}_{tr}_{k}")
-                    e.row([(1.0, npref), (1.0, pref)], "=", 1.0)
-                    e.eq_gated(
-                        yv,
-                        [(p.alpha ** (k - t), self.y(jr, k, tr))],
-                        0.0,
-                        [xv, z, pref],
-                        m,
-                    )
-                    e.eq_gated(yv, [], -1.0, [xv, z, npref], m)
-                else:
-                    e.eq_gated(
-                        yv, [(p.alpha ** (k - t), self.y(jr, k, tr))], 0.0, [xv, z], m
-                    )
-            allpos = self._and_gate(
-                f"ua_{i}_{t}_{tr}", [self.sign(j, k, tr, n) for k in range(t, n)]
+            # fail_t = not s^g_t and (not s^f_t or fail_{t+1}), fail_n false;
+            # none_t = not s^g_t and s^f_t and none_{t+1}, none_n true
+            chain_next, fail_next, none_next = nxt if nxt else (None, None, None)
+            r = f"r_{i}_{t}_{tr}_u"
+            sg, hi = self._witness_chain(r, jr, t, tr, n, chain_next)
+            sf = self.sign(j, t, tr, n)
+            keep = sf
+            if fail_next:
+                keep = self._and_gate(f"keep_{i}_{t}_{tr}", [sf], [fail_next])
+            fail = self._and_gate(f"fail_{i}_{t}_{tr}", [], [sg, keep])
+            none = self._and_gate(
+                f"none_{i}_{t}_{tr}_u", [sf] + ([none_next] if none_next else []), [sg]
             )
-            nall = self.fresh_binary(f"nua_{i}_{t}_{tr}")
-            e.row([(1.0, nall), (1.0, allpos)], "=", 1.0)
-            e.eq_gated(yv, [], p.gamma * p.alpha ** (n - t), [xv, z_none, allpos], m)
-            e.eq_gated(yv, [], -1.0, [xv, z_none, nall], m)
-            return
+            m = m_i + hi
+            e.eq_gated(yv, [(1.0, r)], 0.0, [xv], m, off=[fail, none])
+            e.eq_gated(yv, [], -1.0, [xv, fail], m)
+            e.eq_gated(yv, [], p.gamma * p.alpha ** (n - t), [xv, none], m)
+            return (r, hi), fail, none
         raise UnsupportedForExportError(f"label {lbl!r}")
 
 
@@ -464,65 +477,44 @@ def export_milp(template: Template, sample: Sample, params: SemanticsParams, d: 
 # --- reading the emitted subset back ------------------------------------------------
 
 
+_SECTIONS = {"maximize": "obj", "subject to": "rows", "bounds": "bounds", "binary": "bin"}
+
+
 def _parse_lp(text: str):
-    """Parse the LP subset emitted above; quadratic rows are counted, not read."""
+    """Parse the LP subset emitted above into (objective, rows, bounds,
+    binaries); each row is (coefficients, op, rhs, quadratic terms), the
+    last a list of (coef, var, var) triples, empty for a linear row."""
     section = None
     obj: dict[str, float] = {}
-    rows = []  # (coeffs dict, op, rhs)
+    rows = []
     bounds: dict[str, list] = {}
     binaries: list[str] = []
-    quadratic = 0
     for raw in text.splitlines():
         line = raw.split("\\")[0].strip()
         if not line:
             continue
-        low = line.lower()
-        if low in ("maximize", "minimize"):
-            section = "obj"
-            continue
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binary":
-            section = "bin"
-            continue
-        if low == "end":
+        if line.lower() == "end":
             break
-        if section == "obj":
-            line = line.split(":", 1)[1] if ":" in line else line
-            for var in line.replace("+", " ").split():
+        if line.lower() in _SECTIONS:
+            section = _SECTIONS[line.lower()]
+        elif section == "obj":
+            for var in line.split(":", 1)[-1].replace("+", " ").split():
                 obj[var] = obj.get(var, 0.0) + 1.0
         elif section == "rows":
-            if "[" in line:
-                quadratic += 1
-                continue
-            body = line.split(":", 1)[1].strip()
-            for op in ("<=", ">=", "="):
-                if f" {op} " in body:
-                    lhs, rhs = body.rsplit(f" {op} ", 1)
-                    break
-            else:
-                raise ValueError(f"bad row: {line}")
+            # " cK: <sign coef var>... [+ [ <sign coef var * var>... ]] op rhs"
+            lhs, op, rhs = line.split(":", 1)[1].rsplit(None, 2)
+            linear, _, quadratic = lhs.partition("+ [")
+            tokens = linear.split()
             coeffs: dict[str, float] = {}
-            tokens = lhs.split()
-            sign, k = 1.0, 0
-            while k < len(tokens):
-                tok = tokens[k]
-                if tok == "+":
-                    sign = 1.0
-                elif tok == "-":
-                    sign = -1.0
-                else:
-                    coef = sign * float(tok)
-                    var = tokens[k + 1]
-                    coeffs[var] = coeffs.get(var, 0.0) + coef
-                    k += 1
-                    sign = 1.0
-                k += 1
-            rows.append((coeffs, op, float(rhs)))
+            for k in range(0, len(tokens), 3):
+                sign, coef, var = tokens[k : k + 3]
+                coeffs[var] = coeffs.get(var, 0.0) + float(sign + coef)
+            tokens = quadratic.replace("]", " ").split()
+            quad = [
+                (float(tokens[k] + tokens[k + 1]), tokens[k + 2], tokens[k + 4])
+                for k in range(0, len(tokens), 5)
+            ]
+            rows.append((coeffs, op, float(rhs), quad))
         elif section == "bounds":
             parts = line.split()
             if "<=" in parts:
@@ -533,7 +525,7 @@ def _parse_lp(text: str):
                 bounds[var] = [val, val]
         elif section == "bin":
             binaries.extend(line.split())
-    return obj, rows, bounds, binaries, quadratic
+    return obj, rows, bounds, binaries
 
 
 def lp_optimum(lp_text: str) -> float:
@@ -543,55 +535,33 @@ def lp_optimum(lp_text: str) -> float:
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import lil_matrix
 
-    obj, rows, bounds, binaries, quadratic = _parse_lp(lp_text)
-    if quadratic:
+    obj, rows, bounds, binaries = _parse_lp(lp_text)
+    if any(quad for *_, quad in rows):
         raise UnsupportedForExportError("quadratic rows need a QP solver")
-    names: list[str] = []
-    index: dict[str, int] = {}
-
-    def idx(v):
-        if v not in index:
-            index[v] = len(names)
-            names.append(v)
-        return index[v]
-
-    for v in obj:
-        idx(v)
-    for coeffs, _, _ in rows:
-        for v in coeffs:
-            idx(v)
-    for v in list(bounds) + binaries:
-        idx(v)
-
-    nvars = len(names)
-    a = lil_matrix((len(rows), nvars))
+    names = list(dict.fromkeys(
+        [*obj, *(v for coeffs, *_ in rows for v in coeffs), *bounds, *binaries]
+    ))
+    index = {v: k for k, v in enumerate(names)}
+    binset = set(binaries)
+    a = lil_matrix((len(rows), len(names)))
     lo = np.full(len(rows), -np.inf)
     hi = np.full(len(rows), np.inf)
-    for r, (coeffs, op, rhs) in enumerate(rows):
+    for r, (coeffs, op, rhs, _) in enumerate(rows):
         for v, c in coeffs.items():
-            a[r, idx(v)] = c
+            a[r, index[v]] = c
         if op in ("<=", "="):
             hi[r] = rhs
         if op in (">=", "="):
             lo[r] = rhs
-    var_lo = np.zeros(nvars)
-    var_hi = np.full(nvars, np.inf)
-    binset = set(binaries)
-    for v in names:
-        k = idx(v)
-        if v in bounds:
-            var_lo[k], var_hi[k] = bounds[v]
-        elif v in binset:
-            var_lo[k], var_hi[k] = 0.0, 1.0
-    integrality = np.array([1 if v in binset else 0 for v in names])
-    c = np.zeros(nvars)
+    var_bounds = [bounds.get(v, (0.0, 1.0 if v in binset else np.inf)) for v in names]
+    c = np.zeros(len(names))
     for v, coef in obj.items():
-        c[idx(v)] = -coef  # maximize
+        c[index[v]] = -coef  # maximize
     res = milp(
         c=c,
         constraints=[LinearConstraint(a.tocsr(), lo, hi)],
-        integrality=integrality,
-        bounds=Bounds(var_lo, var_hi),
+        integrality=np.array([1 if v in binset else 0 for v in names]),
+        bounds=Bounds(*zip(*var_bounds)),
     )
     if not res.success:
         raise RuntimeError(f"MILP solve failed: {res.message}")
@@ -600,7 +570,7 @@ def lp_optimum(lp_text: str) -> float:
 
 def template_from_lp(lp_text: str) -> Template:
     """Rebuild the encoded template from the model's structural binaries."""
-    _, _, bounds, binaries, _ = _parse_lp(lp_text)
+    _, _, bounds, binaries = _parse_lp(lp_text)
     candidates: dict[int, list[str]] = {}
     fixed: dict[int, str] = {}
     for var, (lo, hi) in bounds.items():
@@ -618,20 +588,3 @@ def template_from_lp(lp_text: str) -> Template:
         slots[i] = Hole(tuple(labels))
     depth = max(i.bit_length() for i in slots)
     return Template(depth, tuple(slots.items()))
-
-
-def lp_enumerate_optimum(lp_text: str, sample: Sample, params: SemanticsParams) -> float:
-    """Solver-free fallback: enumerate assignments of the encoded structural
-    binaries, score each decoded formula, and return the best summed root
-    score. No triviality filtering (the LP has none either)."""
-    from .repair import enumerate_fillings
-
-    template = template_from_lp(lp_text)
-    best = None
-    for filling in enumerate_fillings(template, sample.props):
-        total = sum(value_of(filling.formula, w, params).value for w in sample.traces)
-        if best is None or total > best:
-            best = total
-    if best is None:
-        raise ValueError("the encoded model admits no structural assignment")
-    return best

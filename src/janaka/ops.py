@@ -73,7 +73,9 @@ sums the alpha^i terms as written above; tests/test_kernels.py keeps such
 rescans as the reference and holds the scans to 1e-12 relative of them.
 Equal bit for bit: robust G's -beta case and its flag, the gamma cases of F
 and U, and every kernel of X, the literals, the boolean connectives, the
-qualitative semantics and the decisive flags.
+qualitative semantics and the decisive flags. The MILP export
+(:mod:`janaka.milp`) encodes the same robust and discounted scans: each
+position's rows read only the next position's auxiliaries.
 """
 
 from __future__ import annotations

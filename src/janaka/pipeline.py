@@ -72,7 +72,6 @@ class RunConfig:
     fixtures: str | None = None
     seed: int = 0
     budget: SearchBudget = field(default_factory=SearchBudget)
-    out_path: str | None = None
     n_candidates: int = 5
     mode: str = ONESHOT
     template_count: int = 4

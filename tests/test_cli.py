@@ -45,3 +45,5 @@ class TestSetting:
         # a flag value, even a string, is taken as argparse typed it
         assert cli._setting(argparse.Namespace(kappa="3"), config, "kappa", 1, cast) == "3"
         assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", 1, cast) == 1
+        # a default is taken as the caller typed it, even a string
+        assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", "1", cast) == "1"

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from janaka.errors import UnsupportedForExportError
-from janaka.formulas import PropositionSet, format_formula
-from janaka.milp import export_milp, lp_enumerate_optimum, lp_optimum, template_from_lp
+from janaka.formulas import PropositionSet, children, format_formula, is_literal
+from janaka.milp import _parse_lp, export_milp, lp_optimum, template_from_lp
+from janaka.ops import evaluate, label_code, op_of
 from janaka.repair import enumerate_fillings
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, value_of
 from janaka.templates import parse_template
@@ -13,6 +14,8 @@ from janaka.traces import Sample, Trace
 from gen import random_trace
 
 scipy = pytest.importorskip("scipy")
+np = pytest.importorskip("numpy")
+from scipy import optimize, sparse  # noqa: E402
 
 P = PropositionSet(["p"])
 PQ = PropositionSet(["p", "q"])
@@ -60,6 +63,8 @@ class TestExportShape:
         sample = Sample((Trace(states({"p", "q"})),), PQ)
         lp = export_milp(t, sample, SemanticsParams(kind=ROBUST), d=2)
         assert "[" in lp and "*" in lp
+        with pytest.raises(UnsupportedForExportError):
+            lp_optimum(lp)  # a QP solver's job
 
     def test_true_label_unsupported(self):
         t = parse_template("G(true)")
@@ -73,10 +78,7 @@ class TestDiscountedCrossValidation:
         t = parse_template(template_text)
         lp = export_milp(t, sample, params, d=t.depth)
         want = native_optimum(t, sample, params)
-        got_solver = lp_optimum(lp)
-        assert got_solver == pytest.approx(want, abs=1e-6)
-        got_enum = lp_enumerate_optimum(lp, sample, params)
-        assert got_enum == pytest.approx(want, abs=1e-9)
+        assert lp_optimum(lp) == pytest.approx(want, abs=1e-6)
 
     def test_no_hole_atoms(self):
         sample = Sample((Trace(states({"p"}, set(), {"p"})),), P)
@@ -142,16 +144,149 @@ class TestTemplateRoundTrip:
         back = {format_formula(f.formula) for f in enumerate_fillings(rebuilt, PQ)}
         assert orig == back
 
-    def test_robust_enumeration_matches_native_optimum(self):
-        # the robust model has quadratic rows: only the solver refuses it
-        sample = Sample(
-            (Trace(states({"p"}, {"q"}, {"p", "q"})), Trace(states({"q"}, set()))), PQ
+
+# --- the encodings against the semantics --------------------------------------------
+
+FORCING_TEMPLATES = (
+    "G(?<1>)", "F(?<1>)", "X(?<1>)", "(p ? ?<1>)", "(?<1> U ?<1>)", "G((p ? q))",
+    "F((p ? ?<1>))",
+)
+
+
+def slot_subformulas(f, i=1):
+    """Slot index -> subformula of a decoded filling; a literal fills one slot,
+    and slot i's children sit at 2i and 2i+1."""
+    out = {i: f}
+    if not is_literal(f):
+        for k, child in enumerate(children(f)):
+            out.update(slot_subformulas(child, 2 * i + k))
+    return out
+
+
+def slot_label(f):
+    return format_formula(f) if is_literal(f) else op_of(f).label
+
+
+class ForcedModel:
+    """An exported model with every x fixed to one filling, and every used
+    slot's y fixed to its native per-position values, except the slot a solve
+    frees. Unused slots' y sit at their lower bound, so each quadratic term
+    has at most one free factor and is substituted into a linear row."""
+
+    def __init__(self, lp, filling, sample, params):
+        _, self.rows, self.bounds, binaries = _parse_lp(lp)
+        assert len(set(binaries)) == len(binaries), "duplicate binaries"
+        self.binaries = set(binaries)
+        names = set(self.bounds) | self.binaries
+        for coeffs, _, _, quad in self.rows:
+            names.update(coeffs)
+            names.update(v for _, va, vb in quad for v in (va, vb))
+        self.names = sorted(names)
+        self.index = {v: k for k, v in enumerate(self.names)}
+        subs = slot_subformulas(filling.formula)
+        chosen = {f"x_{i}_{label_code(slot_label(f))}" for i, f in subs.items()}
+        self.native: dict[int, dict[str, float]] = {i: {} for i in subs}
+        self.fixed: dict[str, float] = {}
+        for v in self.names:
+            if v.startswith("x_"):
+                self.fixed[v] = 1.0 if v in chosen else 0.0
+            elif v.startswith("y_"):
+                i, t, tr = map(int, v.split("_")[1:])
+                if i in subs:
+                    states = sample.traces[tr].states
+                    value = evaluate(subs[i], states, params.kind, params)[t]
+                    self.native[i][v] = self.fixed[v] = value
+                else:
+                    self.fixed[v] = self.bounds[v][0]
+
+    def feasible(self) -> bool:
+        return self._solve(set(), 0.0) is not None
+
+    def extremes(self, slot) -> tuple[float, float]:
+        """Min and max of the sum of the slot's y, the slot's y freed."""
+        free = set(self.native[slot])
+        return self._solve(free, 1.0), -self._solve(free, -1.0)
+
+    def _solve(self, free, sense):
+        """Optimal value of min sense * sum(free y), or None when infeasible."""
+        fixed = {v: x for v, x in self.fixed.items() if v not in free}
+        n = len(self.names)
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        for v, k in self.index.items():
+            if v in fixed:
+                lo[k] = hi[k] = fixed[v]
+            elif v in self.bounds:
+                lo[k], hi[k] = self.bounds[v]
+            elif v in self.binaries:
+                hi[k] = 1.0
+        data, row_idx, col_idx, rlo, rhi = [], [], [], [], []
+        for r, (coeffs, op, rhs, quad) in enumerate(self.rows):
+            coeffs = dict(coeffs)
+            for c, va, vb in quad:
+                if va in fixed and vb in fixed:
+                    rhs -= c * fixed[va] * fixed[vb]
+                else:
+                    var, other = (vb, va) if va in fixed else (va, vb)
+                    assert other in fixed, "a quadratic term with two free factors"
+                    coeffs[var] = coeffs.get(var, 0.0) + c * fixed[other]
+            for v, c in coeffs.items():
+                data.append(c)
+                row_idx.append(r)
+                col_idx.append(self.index[v])
+            rlo.append(rhs if op in (">=", "=") else -np.inf)
+            rhi.append(rhs if op in ("<=", "=") else np.inf)
+        c = np.zeros(n)
+        for v in free:
+            c[self.index[v]] = sense
+        res = optimize.milp(
+            c,
+            constraints=[optimize.LinearConstraint(
+                sparse.csr_array((data, (row_idx, col_idx)), shape=(len(self.rows), n)),
+                rlo, rhi,
+            )],
+            integrality=np.array([v in self.binaries for v in self.names], dtype=int),
+            bounds=optimize.Bounds(lo, hi),
         )
-        params = SemanticsParams(kind=ROBUST)
-        for text in ("(p ? q)", "G(?<1>)", "(p ? ?<1>)"):
-            t = parse_template(text)
-            lp = export_milp(t, sample, params, d=t.depth)
-            assert lp_enumerate_optimum(lp, sample, params) == native_optimum(t, sample, params)
-        assert "[" in lp
-        with pytest.raises(UnsupportedForExportError):
-            lp_optimum(lp)
+        if res.status == 2:
+            return None
+        assert res.success, res.message
+        return res.fun
+
+
+def forcing_instances(kind, seed):
+    """Every filling of each forcing template, over one seeded sample and
+    parameter draw per template."""
+    rng = random.Random(seed)
+    for text in FORCING_TEMPLATES:
+        sample = Sample(
+            tuple(random_trace(rng, rng.randint(1, 4), ["p", "q"])
+                  for _ in range(rng.randint(1, 2))),
+            PQ,
+        )
+        params = SemanticsParams(
+            rng.choice([0.5, 0.9, 1.0]), rng.choice([0.8, 0.9, 1.0]),
+            rng.choice([0.0, 0.1, 0.3]), kind,
+        )
+        t = parse_template(text)
+        lp = export_milp(t, sample, params, d=t.depth)
+        for filling in enumerate_fillings(t, PQ):
+            yield lp, filling, sample, params
+
+
+class TestForcing:
+    """With x fixed to a filling, the rows admit exactly the native scores: the
+    native values are feasible, and freeing any one used slot's y, its rows
+    force the native values (its sum's min and max equal the native sum)."""
+
+    @pytest.mark.parametrize("kind", [DISCOUNTED, ROBUST])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_force_the_native_scores(self, kind, seed):
+        for lp, filling, sample, params in forcing_instances(kind, seed):
+            model = ForcedModel(lp, filling, sample, params)
+            where = f"{format_formula(filling.formula)} {params} {sample.traces}"
+            assert model.feasible(), f"native scores infeasible: {where}"
+            for i, ys in model.native.items():
+                want = sum(ys.values())
+                lo, hi = model.extremes(i)
+                assert lo == pytest.approx(want, abs=1e-5), f"slot {i} min {lo}: {where}"
+                assert hi == pytest.approx(want, abs=1e-5), f"slot {i} max {hi}: {where}"

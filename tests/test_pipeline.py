@@ -6,7 +6,7 @@ from pathlib import Path
 from janaka import pipeline
 from janaka.formulas import PropositionSet, parse_formula
 from janaka.llm import MockChatProvider
-from janaka.repair import Filling, RepairOutcome, repair
+from janaka.repair import Filling, RepairOutcome, SearchBudget, repair
 from janaka.semantics import ROBUST, SemanticsParams, sample_fitness, value_of
 from janaka.traces import Sample, Trace
 
@@ -29,32 +29,39 @@ SAMPLE = Sample(
 )
 
 
-def fixed_repair(text):
+def fixed_repair(text, budgets=None, explored=1, elapsed=0.0, met=False):
     """A stand-in for pipeline.repair that always returns `text` as its
-    incumbent, scored honestly, below any threshold."""
+    incumbent, scored honestly, with the given search counts and threshold
+    verdict; it appends each call's budget to `budgets`."""
     f = parse_formula(text, PQ)
 
     def fake(sample, templates, params, kappa, budget):
+        if budgets is not None:
+            budgets.append(budget)
         scores = [value_of(f, w, params).value for w in sample.traces]
         return RepairOutcome(
             best=Filling((), f),
             fitness=sample_fitness(f, sample, params),
             total=sum(scores),
             per_trace=[(s, True) for s in scores],
-            explored=1,
-            elapsed=0.0,
-            threshold_met=False,
+            explored=explored,
+            elapsed=elapsed,
+            threshold_met=met,
         )
 
     return fake
 
 
-def run(monkeypatch, incumbent):
-    monkeypatch.setattr(pipeline, "repair", fixed_repair(incumbent))
-    cfg = pipeline.RunConfig(semantics=PARAMS, kappa=100.0, strategy="random")
+def mine(**settings):
+    cfg = pipeline.RunConfig(semantics=PARAMS, **settings)
     return pipeline.janaka_run(
         cfg, sample=SAMPLE, explanation="p or q always", provider=MockChatProvider([RESPONSE])
     )
+
+
+def run(monkeypatch, incumbent):
+    monkeypatch.setattr(pipeline, "repair", fixed_repair(incumbent))
+    return mine(kappa=100.0, strategy="random")
 
 
 class TestFailedPath:
@@ -75,6 +82,52 @@ class TestFailedPath:
         assert report.formula == "G((q | p))"
         assert not any("reporting top candidate" in note for note in report.notes)
 
+
+class TestPaths:
+    def test_llm_direct_never_repairs(self, monkeypatch):
+        def repair_called(*args, **kwargs):
+            raise AssertionError("repair ran on the llm-direct path")
+
+        monkeypatch.setattr(pipeline, "repair", repair_called)
+        report = mine(kappa=-1.0)  # no robust score is below -1
+        assert report.path == "llm-direct"
+        assert report.repair is None
+        assert report.formula == report.candidates[0]["formula"]
+        assert report.to_dict()["repair"] is None
+
+    def test_repaired_stops_at_the_first_strategy_that_meets_kappa(self, monkeypatch):
+        budgets = []
+        monkeypatch.setattr(pipeline, "repair", fixed_repair("G((q | p))", budgets, met=True))
+        report = mine(kappa=100.0)
+        assert report.path == "repaired"
+        assert report.formula == "G((q | p))"
+        assert len(budgets) == 1
+        assert report.repair["strategy"] == pipeline.STRATEGY_ORDER[0]
+
+    def test_budget_is_handed_on_less_what_each_strategy_spent(self, monkeypatch):
+        budgets = []
+        monkeypatch.setattr(
+            pipeline, "repair", fixed_repair("G(!p)", budgets, explored=7, elapsed=0.25)
+        )
+        report = mine(kappa=100.0, budget=SearchBudget(time_limit=10.0, node_limit=100))
+        assert report.path == "failed"
+        assert [(b.time_limit, b.node_limit) for b in budgets] == [
+            (10.0, 100), (9.75, 93), (9.5, 86),
+        ]
+
+
+class TestBenchRun:
+    def test_a_failing_case_becomes_an_error_row(self, tmp_path):
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "case.ini").write_text("[other]\nformula = p\n")
+        shutil.copytree(TABLE1 / "case3", tmp_path / "good")
+        suite = pipeline.bench_run(tmp_path, out_dir=tmp_path / "out")
+        bad, good = suite["cases"]
+        assert bad["case"] == "bad" and bad["ok"] is False
+        assert bad["error"].startswith("ConfigError:")
+        assert good["case"] == "good" and "error" not in good and good["ok"] is True
+        assert suite["ok"] is False
+        assert (tmp_path / "out" / "bad.json").exists()
 
 
 TABLE1 = Path(pipeline.__file__).parent / "suites" / "table1"
