@@ -144,6 +144,29 @@ class TestTemplateRoundTrip:
         back = {format_formula(f.formula) for f in enumerate_fillings(rebuilt, PQ)}
         assert orig == back
 
+    def test_robust_enumeration_matches_native_optimum(self):
+        # the robust model has quadratic rows, so no LP solver reads it; instead
+        # enumerate the template rebuilt from the LP, fix the model to each
+        # filling's native scores, and take the best objective value
+        sample = Sample(
+            (Trace(states({"p"}, {"q"}, {"p", "q"})), Trace(states({"q"}, set()))), PQ
+        )
+        params = SemanticsParams(kind=ROBUST)
+        for text in ("(p ? q)", "G(?<1>)", "(p ? ?<1>)"):
+            t = parse_template(text)
+            lp = export_milp(t, sample, params, d=t.depth)
+            obj = _parse_lp(lp)[0]
+            best = None
+            for filling in enumerate_fillings(template_from_lp(lp), PQ):
+                model = ForcedModel(lp, filling, sample, params)
+                assert model.feasible(), format_formula(filling.formula)
+                total = sum(c * model.fixed[v] for v, c in obj.items())
+                best = total if best is None else max(best, total)
+            assert best == pytest.approx(native_optimum(t, sample, params), abs=1e-9)
+        assert "[" in lp
+        with pytest.raises(UnsupportedForExportError):
+            lp_optimum(lp)
+
 
 # --- the encodings against the semantics --------------------------------------------
 
