@@ -16,11 +16,17 @@ MILP export (variable-name codes). Each entry holds, for one label:
   on the left under the discounted one), so the bound applies its value
   kernel to the interval endpoints (:meth:`Op.interval`).
 
-Kernels take the semantics parameters and their children's results, plain
-lists indexed by suffix position, and return the node's; the literal entry's
-kernels take an atom name and the trace states instead. The flag kernels take
-(values, flags) pairs and interval kernels (lows, highs) pairs. Kernels do no
-validation; the public entry points do.
+Kernels take the semantics parameters and their children's results and
+return the node's. A result is one flat list over the whole sample: the
+traces' suffix positions, concatenated in trace order. Every kernel but the
+literal entry's takes a keyword-only ``segments``, the ``(start, end)`` of each
+trace in that list, and each temporal kernel makes its right-to-left pass
+trace by trace, resetting its state at each trace end; without segments the
+whole list is one trace. The connectives and negation are elementwise and
+ignore the segments. The literal entry's kernels take an atom name and the
+states instead. The flag kernels take (values, flags) pairs and interval
+kernels (lows, highs) pairs. Kernels do no validation; the public entry points
+do.
 
 Qualitative (finite traces): X is strong next (false at the last position);
 U needs a witness inside the word.
@@ -49,9 +55,10 @@ Discounted semantics (general negation, values in [0,1], always decisive):
 * F f = beta*max_i alpha^i f_i;  G f = beta*(1 - max_i alpha^i (1 - f_i))
 * f U g = max_i min(alpha^i g_i, min_{j<i} alpha^j f_j)   (no beta)
 
-Every temporal kernel makes one right-to-left pass over the positions and
-carries O(1) state from position t+1 to t (n is the word length, v the child
-values, f and g the left and right ones, h the child highs):
+Every temporal kernel makes one right-to-left pass over each trace's positions
+and carries O(1) state from position t+1 to t (n is the trace's end, so n - t
+is the suffix length; v the child values, f and g the left and right ones, h
+the child highs):
 
 * robust G: ok_t = (v_t >= 0 and ok_{t+1}), S_t = v_t + alpha*S_{t+1}
   (Horner); the value is beta*S_t where ok_t, else -beta.
@@ -173,22 +180,23 @@ class Op:
     robust_interval: Callable | None = None
     antitone_left: bool = False
 
-    def robust_pair(self, p, *kids):
+    def robust_pair(self, p, *kids, segments=None):
         """Robust (values, decisive flags) over the children's pairs."""
         if self.arity == 0:
             return self.robust(p, *kids), self.robust_flags(p, *kids)
-        return self.robust(p, *(vals for vals, _ in kids)), self.robust_flags(p, *kids)
+        return (self.robust(p, *(vals for vals, _ in kids), segments=segments),
+                self.robust_flags(p, *kids, segments=segments))
 
-    def interval(self, p, *kids):
+    def interval(self, p, *kids, segments=None):
         """(lows, highs) of this operator over its children's (lows, highs)."""
         if p.kind == ROBUST and self.robust_interval is not None:
-            return self.robust_interval(p, *kids)
+            return self.robust_interval(p, *kids, segments=segments)
         kernel = getattr(self, p.kind)
         lows = [lo for lo, _ in kids]
         highs = [hi for _, hi in kids]
         if self.antitone_left:
             lows[0], highs[0] = highs[0], lows[0]
-        return kernel(p, *lows), kernel(p, *highs)
+        return kernel(p, *lows, segments=segments), kernel(p, *highs, segments=segments)
 
 
 # --- literals and negation ---------------------------------------------------
@@ -216,78 +224,78 @@ def _disc_atom(p, name, states):
     return [1.0 if name in s else 0.0 for s in states]
 
 
-def _qual_not(p, cv):
+def _qual_not(p, cv, *, segments=None):
     return [not v for v in cv]
 
 
-def _rob_not(p, cv):
+def _rob_not(p, cv, *, segments=None):
     return [-v for v in cv]
 
 
-def _flags_not(p, child):
+def _flags_not(p, child, *, segments=None):
     return child[1]
 
 
-def _disc_not(p, cv):
+def _disc_not(p, cv, *, segments=None):
     return [1.0 - v for v in cv]
 
 
 # --- boolean connectives -----------------------------------------------------
 
 
-def _qual_and(p, lv, rv):
+def _qual_and(p, lv, rv, *, segments=None):
     return [x and y for x, y in zip(lv, rv)]
 
 
-def _qual_or(p, lv, rv):
+def _qual_or(p, lv, rv, *, segments=None):
     return [x or y for x, y in zip(lv, rv)]
 
 
-def _qual_implies(p, lv, rv):
+def _qual_implies(p, lv, rv, *, segments=None):
     return [(not x) or y for x, y in zip(lv, rv)]
 
 
-def _rob_and(p, lv, rv):
+def _rob_and(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * x * y if x >= 0 and y >= 0 else -1.0 for x, y in zip(lv, rv)]
 
 
-def _rob_or(p, lv, rv):
+def _rob_or(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * ((x + y) / 2 if x >= 0 and y >= 0 else max(x, y)) for x, y in zip(lv, rv)]
 
 
-def _rob_implies(p, lv, rv):
+def _rob_implies(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * ((-x + y) / 2 if x < 0 and y >= 0 else max(-x, y)) for x, y in zip(lv, rv)]
 
 
-def _flags_both(p, left, right):
+def _flags_both(p, left, right, *, segments=None):
     return _qual_and(p, left[1], right[1])
 
 
-def _disc_and(p, lv, rv):
+def _disc_and(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * min(x, y) for x, y in zip(lv, rv)]
 
 
-def _disc_or(p, lv, rv):
+def _disc_or(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * max(x, y) for x, y in zip(lv, rv)]
 
 
-def _disc_implies(p, lv, rv):
+def _disc_implies(p, lv, rv, *, segments=None):
     b = p.beta
     return [b * max(1.0 - x, y) for x, y in zip(lv, rv)]
 
 
-def _rob_or_interval(p, left, right):
+def _rob_or_interval(p, left, right, *, segments=None):
     (ll, lh), (rl, rh) = left, right
     b = p.beta
     return [b * (x + y) / 2 for x, y in zip(ll, rl)], [b * max(x, y) for x, y in zip(lh, rh)]
 
 
-def _rob_implies_interval(p, left, right):
+def _rob_implies_interval(p, left, right, *, segments=None):
     # the envelope of f -> g is that of !f | g
     ll, lh = left
     return _rob_or_interval(p, ([-v for v in lh], [-v for v in ll]), right)
@@ -296,89 +304,105 @@ def _rob_implies_interval(p, left, right):
 # --- temporal operators ------------------------------------------------------
 
 
-def _qual_next(p, cv):
-    n = len(cv)
-    return [cv[i + 1] if i + 1 < n else False for i in range(n)]
+def _traces(segments, n):
+    # the whole list is one trace unless segments say otherwise
+    if segments is not None:
+        return segments
+    return ((0, n),) if n else ()
 
 
-def _qual_finally(p, cv):
+def _qual_next(p, cv, *, segments=None):
     out = [False] * len(cv)
-    acc = False
-    for i in range(len(cv) - 1, -1, -1):
-        acc = acc or cv[i]
-        out[i] = acc
+    out[:-1] = cv[1:]
+    for _, end in _traces(segments, len(cv)):
+        out[end - 1] = False
     return out
 
 
-def _qual_globally(p, cv):
+def _qual_finally(p, cv, *, segments=None):
     out = [False] * len(cv)
-    acc = True
-    for i in range(len(cv) - 1, -1, -1):
-        acc = acc and cv[i]
-        out[i] = acc
+    for start, end in _traces(segments, len(cv)):
+        acc = False
+        for i in range(end - 1, start - 1, -1):
+            acc = acc or cv[i]
+            out[i] = acc
     return out
 
 
-def _qual_until(p, lv, rv):
+def _qual_globally(p, cv, *, segments=None):
+    out = [False] * len(cv)
+    for start, end in _traces(segments, len(cv)):
+        acc = True
+        for i in range(end - 1, start - 1, -1):
+            acc = acc and cv[i]
+            out[i] = acc
+    return out
+
+
+def _qual_until(p, lv, rv, *, segments=None):
     out = [False] * len(lv)
-    acc = False
-    for i in range(len(lv) - 1, -1, -1):
-        acc = rv[i] or (lv[i] and acc)
-        out[i] = acc
+    for start, end in _traces(segments, len(lv)):
+        acc = False
+        for i in range(end - 1, start - 1, -1):
+            acc = rv[i] or (lv[i] and acc)
+            out[i] = acc
     return out
 
 
-def _rob_next(p, cv):
-    n = len(cv)
-    return [(cv[t + 1] if cv[t + 1] >= 0 else -1.0) if t + 1 < n else p.gamma for t in range(n)]
+def _rob_next(p, cv, *, segments=None):
+    out = [p.gamma] * len(cv)
+    out[:-1] = [v if v >= 0 else -1.0 for v in cv[1:]]
+    for _, end in _traces(segments, len(cv)):
+        out[end - 1] = p.gamma
+    return out
 
 
-def _rob_globally(p, cv):
+def _rob_globally(p, cv, *, segments=None):
     # ok: the suffix from t on is non-negative; s = sum_i alpha^(i-t) cv[i] (Horner)
-    n = len(cv)
     a, b = p.alpha, p.beta
-    out = [0.0] * n
-    ok, s = True, 0.0
-    for t in range(n - 1, -1, -1):
-        v = cv[t]
-        ok = ok and v >= 0
-        s = v + a * s
-        out[t] = b * s if ok else b * -1.0
+    out = [0.0] * len(cv)
+    for start, end in _traces(segments, len(cv)):
+        ok, s = True, 0.0
+        for t in range(end - 1, start - 1, -1):
+            v = cv[t]
+            ok = ok and v >= 0
+            s = v + a * s
+            out[t] = b * s if ok else b * -1.0
     return out
 
 
-def _rob_finally(p, cv):
+def _rob_finally(p, cv, *, segments=None):
     # r: alpha^(w-t) cv[w] at the first non-negative w >= t, chained as alpha*r;
     # None while no suffix position is non-negative
-    n = len(cv)
     a, b, g = p.alpha, p.beta, p.gamma
-    out = [0.0] * n
-    r = None
-    for t in range(n - 1, -1, -1):
-        v = cv[t]
-        if v >= 0:
-            r = v
-        elif r is not None:
-            r = a * r
-        out[t] = b * g * a ** (n - t) if r is None else b * r
+    out = [0.0] * len(cv)
+    for start, end in _traces(segments, len(cv)):
+        r = None
+        for t in range(end - 1, start - 1, -1):
+            v = cv[t]
+            if v >= 0:
+                r = v
+            elif r is not None:
+                r = a * r
+            out[t] = b * g * a ** (end - t) if r is None else b * r
     return out
 
 
-def _rob_until(p, lv, rv):
+def _rob_until(p, lv, rv, *, segments=None):
     # r as in F; it turns to -1 (fail) where f < 0 before any witness, and
     # stays None (the gamma case) while neither a witness nor a failure is seen
-    n = len(lv)
     a, g = p.alpha, p.gamma
-    out = [0.0] * n
-    r = None
-    for t in range(n - 1, -1, -1):
-        if rv[t] >= 0:
-            r = rv[t]
-        elif lv[t] < 0:
-            r = -1.0
-        elif r is not None and r >= 0:
-            r = a * r
-        out[t] = g * a ** (n - t) if r is None else r
+    out = [0.0] * len(lv)
+    for start, end in _traces(segments, len(lv)):
+        r = None
+        for t in range(end - 1, start - 1, -1):
+            if rv[t] >= 0:
+                r = rv[t]
+            elif lv[t] < 0:
+                r = -1.0
+            elif r is not None and r >= 0:
+                r = a * r
+            out[t] = g * a ** (end - t) if r is None else r
     return out
 
 
@@ -386,95 +410,96 @@ def _rob_until(p, lv, rv):
 # non-negative (F), and where none of g is while all of f is (U).
 
 
-def _flags_next(p, child):
-    return _qual_next(p, child[1])
+def _flags_next(p, child, *, segments=None):
+    return _qual_next(p, child[1], segments=segments)
 
 
-def _flags_globally(p, child):
-    return _qual_globally(p, child[1])
+def _flags_globally(p, child, *, segments=None):
+    return _qual_globally(p, child[1], segments=segments)
 
 
-def _flags_finally(p, child):
+def _flags_finally(p, child, *, segments=None):
     cv, cf = child
-    return _qual_and(p, _qual_finally(p, [v >= 0 for v in cv]), _qual_globally(p, cf))
+    return _qual_and(p, _qual_finally(p, [v >= 0 for v in cv], segments=segments),
+                     _qual_globally(p, cf, segments=segments))
 
 
-def _flags_until(p, left, right):
+def _flags_until(p, left, right, *, segments=None):
     (lv, lf), (rv, rf) = left, right
-    scanned = _qual_and(p, _qual_globally(p, lf), _qual_globally(p, rf))
-    witness = _qual_finally(p, [v >= 0 for v in rv])
-    steady = _qual_globally(p, [v >= 0 for v in lv])
+    scanned = _qual_and(p, _qual_globally(p, lf, segments=segments),
+                        _qual_globally(p, rf, segments=segments))
+    witness = _qual_finally(p, [v >= 0 for v in rv], segments=segments)
+    steady = _qual_globally(p, [v >= 0 for v in lv], segments=segments)
     return [s and (w or not st) for s, w, st in zip(scanned, witness, steady)]
 
 
-def _disc_next(p, cv):
-    n = len(cv)
+def _disc_next(p, cv, *, segments=None):
     a = p.alpha
-    return [a * cv[t + 1] if t + 1 < n else 0.0 for t in range(n)]
+    out = [0.0] * len(cv)
+    out[:-1] = [a * v for v in cv[1:]]
+    for _, end in _traces(segments, len(cv)):
+        out[end - 1] = 0.0
+    return out
 
 
-def _disc_finally(p, cv):
+def _disc_finally(p, cv, *, segments=None):
     # m = max_i alpha^(i-t) cv[i] over the suffix
-    n = len(cv)
     a, b = p.alpha, p.beta
-    out = [0.0] * n
-    m = float("-inf")
-    for t in range(n - 1, -1, -1):
-        m = max(cv[t], a * m)
-        out[t] = b * m
+    out = [0.0] * len(cv)
+    for start, end in _traces(segments, len(cv)):
+        m = float("-inf")
+        for t in range(end - 1, start - 1, -1):
+            m = max(cv[t], a * m)
+            out[t] = b * m
     return out
 
 
-def _disc_globally(p, cv):
+def _disc_globally(p, cv, *, segments=None):
     # m = max_i alpha^(i-t) (1 - cv[i]) over the suffix
-    n = len(cv)
     a, b = p.alpha, p.beta
-    out = [0.0] * n
-    m = float("-inf")
-    for t in range(n - 1, -1, -1):
-        m = max(1.0 - cv[t], a * m)
-        out[t] = b * (1.0 - m)
+    out = [0.0] * len(cv)
+    for start, end in _traces(segments, len(cv)):
+        m = float("-inf")
+        for t in range(end - 1, start - 1, -1):
+            m = max(1.0 - cv[t], a * m)
+            out[t] = b * (1.0 - m)
     return out
 
 
-def _disc_until(p, lv, rv):
+def _disc_until(p, lv, rv, *, segments=None):
     # alpha > 0 commutes with min and max, so the max-min over the suffix
     # obeys u_t = max(g_t, min(f_t, alpha*u_(t+1))) with u_n = 0
-    n = len(lv)
     a = p.alpha
-    out = [0.0] * n
-    u = 0.0
-    for t in range(n - 1, -1, -1):
-        u = max(rv[t], min(lv[t], a * u))
-        out[t] = u
+    out = [0.0] * len(lv)
+    for start, end in _traces(segments, len(lv)):
+        u = 0.0
+        for t in range(end - 1, start - 1, -1):
+            u = max(rv[t], min(lv[t], a * u))
+            out[t] = u
     return out
 
 
-def _rob_witness_highs(a, hs):
-    # h_t = max(hs[t], alpha*h_(t+1)) with h_n = 0, so a negative high never
-    # wins: the F and U value kernels' alpha-chain on the highs, so the bound
-    # dominates their values in floats
-    n = len(hs)
-    out = [0.0] * n
-    h = 0.0
-    for t in range(n - 1, -1, -1):
-        h = max(hs[t], a * h)
-        out[t] = h
-    return out
-
-
-def _rob_finally_interval(p, child):
-    n = len(child[1])
-    a, b, g = p.alpha, p.beta, p.gamma
-    chain = _rob_witness_highs(a, child[1])
-    return [0.0] * n, [max(b * g * a ** (n - t), b * h) for t, h in enumerate(chain)]
-
-
-def _rob_until_interval(p, left, right):
-    n = len(right[1])
+def _rob_witness_highs(p, hs, b, segments):
+    # h_t = max(hs[t], alpha*h_(t+1)) with h = 0 at the trace end, so a
+    # negative high never wins: the F and U value kernels' alpha-chain on the
+    # highs, so the bound dominates their values in floats; then the max of
+    # b*h with the gamma term b*gamma*alpha^(end-t) (b = 1.0 for U is exact)
     a, g = p.alpha, p.gamma
-    chain = _rob_witness_highs(a, right[1])
-    return [-1.0] * n, [max(g * a ** (n - t), h) for t, h in enumerate(chain)]
+    out = [0.0] * len(hs)
+    for start, end in _traces(segments, len(hs)):
+        h = 0.0
+        for t in range(end - 1, start - 1, -1):
+            h = max(hs[t], a * h)
+            out[t] = max(b * g * a ** (end - t), b * h)
+    return out
+
+
+def _rob_finally_interval(p, child, *, segments=None):
+    return [0.0] * len(child[1]), _rob_witness_highs(p, child[1], p.beta, segments)
+
+
+def _rob_until_interval(p, left, right, *, segments=None):
+    return [-1.0] * len(right[1]), _rob_witness_highs(p, right[1], 1.0, segments)
 
 
 # --- the table ---------------------------------------------------------------
@@ -524,16 +549,19 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return (f.left, f.right)
 
 
-def evaluate(f: Formula, states, kind: str, p=None):
+def evaluate(f: Formula, states, kind: str, p=None, segments=None):
     """Per-position results of f over the states under `kind`: "qualitative",
-    "robust" or "discounted" values, or "robust_pair" (values, flags) pairs."""
+    "robust" or "discounted" values, or "robust_pair" (values, flags) pairs.
+    The states are one trace, or several concatenated with their (start, end)
+    segments given."""
     op = op_of(f)
     kernel = getattr(op, kind)
     if op.arity == 0:
         return kernel(p, f.name, states)
     if op.arity == 1:
-        return kernel(p, evaluate(f.child, states, kind, p))
-    return kernel(p, evaluate(f.left, states, kind, p), evaluate(f.right, states, kind, p))
+        return kernel(p, evaluate(f.child, states, kind, p, segments), segments=segments)
+    return kernel(p, evaluate(f.left, states, kind, p, segments),
+                  evaluate(f.right, states, kind, p, segments), segments=segments)
 
 
 def literal_values(label: str, states, p) -> list:

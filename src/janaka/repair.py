@@ -25,8 +25,11 @@ rejects its formula, but the search never walks a leaf to decide it:
 * Identical children, ``x & !x`` / ``x | !x``, and G or F over a
   propositional tautology are closed-subtree rules. Every slot's table entry
   carries the verdict ``(formula, propositional, trivial)`` of its subtree,
-  recomputed from its children's like the other entries below, and a leaf
-  whose root verdict is trivial is rejected unscored.
+  recomputed from its children's like the other entries below. A trivial
+  verdict makes every subtree above it trivial, so a branch is cut as soon as
+  the last hole below some slot is chosen and that slot's verdict is trivial
+  (``_View.closing`` names the slot per hole); a leaf whose root verdict is
+  trivial is rejected unscored.
 
 The bound propagates per-position value intervals through the template:
 fixed or assigned labels combine child intervals through their operator's
@@ -35,16 +38,20 @@ the full value range of any formula fitting their remaining depth
 (:func:`janaka.semantics.value_range`).
 
 A search keeps one per-slot table (:class:`_SlotTable`) for its template,
-sample and semantics parameters. For every slot it holds, per trace, the
-interval vectors of the bound and the value vectors of leaf scoring, and the
-slot's verdict. Each entry carries the slot's stamp at the time it was
-computed. Whenever the label of a hole differs from the one the table last
-saw, the stamps of that hole and of every ancestor (``i, i >> 1, ..., 1``)
-go up, so exactly the entries whose subtree changed are recomputed, in
-whatever order assignments arrive. Fixed subtrees, literal vectors and the
-value ranges of open holes are computed once per table. Leaf scores use the
-kernels, the per-trace summation and the division of
-:func:`janaka.semantics.sample_fitness`, so they equal it bit for bit.
+sample and semantics parameters. For every slot it holds one flat entry over
+the whole sample, in the layout of :func:`janaka.semantics.flat_layout` (the
+traces' positions concatenated, with each trace's segment): the interval
+vectors of the bound and the value vector of leaf scoring, each made by one
+kernel call for all traces, and the slot's verdict. Each entry carries the
+slot's stamp at the time it was computed. Whenever the label of a hole
+differs from the one the table last saw, the stamps of that hole and of every
+ancestor (``i, i >> 1, ..., 1``) go up, so exactly the entries whose subtree
+changed are recomputed, in whatever order assignments arrive. Fixed
+subtrees, literal vectors and the value ranges of open holes are computed
+once per table. The bound and the leaf score sum the root's entry at the
+trace starts in trace order and divide by the trace count, as
+:func:`janaka.semantics.sample_fitness` does, so leaf scores equal it bit for
+bit.
 
 What a search did is counted in :class:`SearchStats`.
 """
@@ -96,7 +103,7 @@ from .ops import (
     arity,
     literal_values,
 )
-from .semantics import SemanticsParams, sample_fitness, value_of, value_range
+from .semantics import SemanticsParams, flat_layout, sample_fitness, value_of, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
@@ -133,10 +140,13 @@ class SearchStats:
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
+    cut_closed: int = 0  # branches abandoned when a closed subtree's verdict is trivial
     rejected_trivial: int = 0  # leaves whose stamped verdict is trivial
     scored: int = 0  # leaves scored; equals RepairOutcome.explored
     bound_calls: int = 0
     prunes: int = 0  # bound calls that abandoned a branch
+    slot_recomputed: int = 0  # slot-table entries recomputed (bound, value, verdict)
+    slot_hits: int = 0  # slot-table entries served by their stamp
     stop: str = EXHAUSTED  # exhausted | time | nodes
 
 
@@ -164,7 +174,12 @@ class _View:
     other label; when it is fixed or absent, ``parent`` is 0 and ``offer``
     is the one pair. A pair's count is the number of labels the GG/FF cut
     withholds there; with ``cut=False`` nothing is withheld, so that every
-    structurally valid filling is enumerated."""
+    structurally valid filling is enumerated.
+
+    ``closing`` holds, per step, the topmost slot whose subtree's last hole
+    that step decides, or 0 where that is no slot, a lone slot (a literal's
+    verdict is never trivial) or the root (the leaf's verdict reads it). The
+    search reads that slot's verdict whenever the step takes a label."""
 
     def __init__(self, template: Template, props: PropositionSet, cut: bool = True):
         self.template = template
@@ -178,10 +193,22 @@ class _View:
             )
             for i, slot in template.slots
         )
+        step_of = {i: h for h, i in enumerate(template.hole_indices)}
         fixed_below: dict[int, bool] = {}
+        last_step: dict[int, int] = {}  # the step of the last hole in each subtree
         for i in sorted(m, reverse=True):
             fixed_below[i] = (isinstance(m[i], Fixed) or fixed_below.get(2 * i, False)
                               or fixed_below.get(2 * i + 1, False))
+            last_step[i] = max(step_of.get(i, -1), last_step.get(2 * i, -1),
+                               last_step.get(2 * i + 1, -1))
+        self.closing = []
+        for h, i in enumerate(template.hole_indices):
+            if last_step[i] != h:  # a hole below it comes later
+                self.closing.append(0)
+                continue
+            while i > 1 and last_step.get(i >> 1) == h:
+                i >>= 1
+            self.closing.append(i if i > 1 and 2 * i in m else 0)
         self.steps = []
         for i in template.hole_indices:
             # a label must reach every child that has a fixed slot below it
@@ -227,12 +254,14 @@ class _SlotTable:
     """Per-slot intervals, values and verdicts of one template over one
     sample under one set of parameters, recomputed only where a hole label
     below the slot changed (module docstring). Without a sample it decodes
-    formulas and verdicts only."""
+    formulas and verdicts only. ``recomputed`` and ``hits`` count the entries
+    recomputed and those served by their stamp, over all three kinds."""
 
     def __init__(self, template: Template, sample: Sample | None = None,
                  p: SemanticsParams | None = None):
         self.sample, self.params = sample, p
-        self.states = [trace.states for trace in sample.traces] if sample is not None else []
+        self.states, self.segments = flat_layout(sample.traces) if sample is not None else ([], [])
+        self.starts = [start for start, _ in self.segments]
         self.heights = template.heights
         self.holes = template.hole_indices
         # an unresolved hole is "?", an unused one None
@@ -246,6 +275,7 @@ class _SlotTable:
         self._verdicts: dict = {}
         self._literals: dict = {}
         self._ranges: dict = {}
+        self.recomputed = self.hits = 0  # entries recomputed / served by their stamp
 
     def _sync(self, assignment) -> None:
         label, stamp = self.label, self.stamp
@@ -263,7 +293,9 @@ class _SlotTable:
         stamp = self.stamp[i]
         hit = cache.get(i)
         if hit is not None and hit[0] == stamp:
+            self.hits += 1
             return hit[1]
+        self.recomputed += 1
         label = self.label[i]
         op = OPS.get(label)
         if op is None:
@@ -277,30 +309,27 @@ class _SlotTable:
     def _literal(self, label: str):
         out = self._literals.get(label)
         if out is None:
-            p = self.params
-            out = self._literals[label] = [literal_values(label, s, p) for s in self.states]
+            out = self._literals[label] = literal_values(label, self.states, self.params)
         return out
 
     def _open(self, height: int):
-        # (lows, highs) per trace of an unresolved hole of the given height
+        # (lows, highs) of an unresolved hole of the given height
         out = self._ranges.get(height)
         if out is None:
             p = self.params
-            out = self._ranges[height] = []
-            for states in self.states:
-                n = len(states)
-                ranges = [value_range(height, n - t, p) for t in range(n)]
-                out.append(([lo for lo, _ in ranges], [hi for _, hi in ranges]))
+            ranges = [value_range(height, end - t, p)
+                      for start, end in self.segments for t in range(start, end)]
+            out = self._ranges[height] = ([lo for lo, _ in ranges], [hi for _, hi in ranges])
         return out
 
     def _bound_leaf(self, label, i):
         if label == "?":
             return self._open(self.heights[i])
-        return [(vals, vals) for vals in self._literal(label)]
+        vals = self._literal(label)
+        return vals, vals
 
     def _bound_combine(self, op, *kids):
-        p = self.params
-        return [op.interval(p, *per_trace) for per_trace in zip(*kids)]
+        return op.interval(self.params, *kids, segments=self.segments)
 
     def _value_leaf(self, label, i):
         if label == "?":
@@ -309,8 +338,7 @@ class _SlotTable:
 
     def _value_combine(self, op, *kids):
         p = self.params
-        kernel = getattr(op, p.kind)
-        return [kernel(p, *per_trace) for per_trace in zip(*kids)]
+        return getattr(op, p.kind)(p, *kids, segments=self.segments)
 
     @staticmethod
     def _verdict_leaf(label, i):
@@ -338,26 +366,29 @@ class _SlotTable:
         return formula, propositional, trivial
 
     def bound(self, assignment) -> float:
-        """Mean over the traces of the root's high at position 0."""
+        """Mean over the traces of the root's high at each trace start."""
         self._sync(assignment)
+        highs = self._entry(self._bounds, self._bound_leaf, self._bound_combine, 1)[1]
         total = 0.0
-        for _, highs in self._entry(self._bounds, self._bound_leaf, self._bound_combine, 1):
-            total += highs[0]
-        return total / len(self.states)
+        for start in self.starts:
+            total += highs[start]
+        return total / len(self.starts)
 
     def fitness(self, assignment) -> float:
         """sample_fitness of the complete assignment's formula."""
         self._sync(assignment)
+        vals = self._entry(self._values, self._value_leaf, self._value_combine, 1)
         total = 0.0
-        for vals in self._entry(self._values, self._value_leaf, self._value_combine, 1):
-            total += vals[0]
-        return total / len(self.states)
+        for start in self.starts:
+            total += vals[start]
+        return total / len(self.starts)
 
-    def verdict(self, assignment) -> tuple[Formula, bool, bool]:
-        """(formula, propositional, trivial) of a complete assignment; GG and
-        FF nesting are not judged here (the enumeration cuts them)."""
+    def verdict(self, assignment, i: int = 1) -> tuple[Formula, bool, bool]:
+        """(formula, propositional, trivial) of slot i's subtree, every hole of
+        which the assignment decides (the root's: a complete assignment); GG
+        and FF nesting are not judged here (the enumeration cuts them)."""
         self._sync(assignment)
-        return self._entry(self._verdicts, self._verdict_leaf, self._verdict_combine, 1)
+        return self._entry(self._verdicts, self._verdict_leaf, self._verdict_combine, i)
 
     def formula(self, assignment) -> Formula:
         """The formula of a complete assignment."""
@@ -534,10 +565,16 @@ def repair(
         view = _View(template, sample.props)
         table = view.table(sample, params)
         last = len(view.steps) - 1
+        closing = view.closing
 
         def prune(assignment, h):
             if time.monotonic() > deadline:
                 raise _Stop(TIME)
+            # a trivial subtree makes every leaf below the branch trivial
+            closed = closing[h]
+            if closed and table.verdict(assignment, closed)[2]:
+                stats.cut_closed += 1
+                return True
             if best is None or h == last:
                 return False
             stats.bound_calls += 1
@@ -574,6 +611,9 @@ def repair(
                     )
         except _Stop as stop:
             stats.stop = stop.args[0]
+        stats.slot_recomputed += table.recomputed
+        stats.slot_hits += table.hits
+        if stats.stop != EXHAUSTED:
             break
 
     elapsed = time.monotonic() - start

@@ -5,6 +5,12 @@ each subformula they compute the value at every suffix position of the word,
 so the value of ``f`` on ``w`` is the root vector at position 0. The cases of
 each operator are the kernels of the operator table, whose docstring
 (:mod:`janaka.ops`) summarizes both semantics.
+
+:func:`sample_fitness`, which ranks candidates and scores results, makes one
+such walk over the whole sample: the traces' states concatenated, with each
+trace's ``(start, end)`` segment (:func:`flat_layout`), so every kernel runs
+once per node rather than once per node and trace. The repair search keeps its
+per-slot vectors in the same layout.
 """
 
 from __future__ import annotations
@@ -77,15 +83,37 @@ def value_of(f: Formula, w, p: SemanticsParams) -> Valuation:
     return discounted_value(f, w, p)
 
 
+def flat_layout(traces) -> tuple[list, list[tuple[int, int]]]:
+    """The traces' states concatenated in trace order, and each trace's
+    ``(start, end)`` in that list: the layout the kernels take
+    (:mod:`janaka.ops`). The traces are Trace objects or state sequences."""
+    states: list = []
+    segments = []
+    for w in traces:
+        own = _states_of(w)
+        if not own:
+            raise EmptyTraceError("cannot evaluate on an empty trace")
+        segments.append((len(states), len(states) + len(own)))
+        states.extend(own)
+    return states, segments
+
+
 def sample_fitness(f: Formula, sample, p: SemanticsParams) -> float:
-    """Mean valuation over the sample's traces (normalized by trace count)."""
+    """Mean valuation over the sample's traces (normalized by trace count).
+
+    One evaluation covers the whole sample in the flat layout; the values at
+    the trace starts are summed in trace order, so the result equals summing
+    each trace's own valuation bit for bit."""
     traces = list(getattr(sample, "traces", sample))
     if not traces:
         raise EmptySampleError("sample has no traces")
     g = to_nnf(f) if p.kind == ROBUST and not is_nnf(f) else f
+    states, segments = flat_layout(traces)
+    # the values alone, without decisive flags
+    vals = evaluate(g, states, p.kind, p, segments)
     total = 0.0
-    for w in traces:
-        total += _vector(g, w, p.kind, p)[0]  # the values alone, without decisive flags
+    for start, _ in segments:
+        total += vals[start]
     return total / len(traces)
 
 

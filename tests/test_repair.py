@@ -478,10 +478,135 @@ class TestSlotTables:
                 assert table.sample is sample and table.params == params
                 assert table.fitness(a) == sample_fitness(table.formula(a), sample, params)
 
+    def test_counters_split_recomputed_from_stamped_entries(self):
+        # G at slot 1, -> at 2, holes at 4 and 5
+        template = parse_template("G((?<1> -> ?<1>))")
+        sample = Sample((Trace(states({"p"}, {"q"})), Trace(states({"q"}))), PQ)
+        table = _SlotTable(template, sample, SemanticsParams(kind=ROBUST))
+        table.fitness({4: "p", 5: "q"})
+        assert (table.recomputed, table.hits) == (4, 0)
+        table.fitness({4: "p", 5: "q"})
+        assert (table.recomputed, table.hits) == (4, 1)  # the root's entry
+        table.fitness({4: "p", 5: "!q"})
+        assert (table.recomputed, table.hits) == (7, 2)  # 5, 2 and 1; 4 is served
+        table.verdict({4: "p", 5: "!q"})
+        assert (table.recomputed, table.hits) == (11, 2)  # another table's entries
+        stats = repair(sample, [template], SemanticsParams(kind=ROBUST), kappa=0.0).stats
+        assert stats.slot_recomputed > 0 and stats.slot_hits > 0
+
     def test_negation_slot_is_refused(self):
         t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
         with pytest.raises(UnsupportedNegationError):
             repair(all_p_sample(), [t], SemanticsParams(kind=ROBUST), kappa=0.0)
+
+
+# --- reference: the search loop before closed subtrees were cut, verbatim ------
+
+
+def reference_search(sample, templates, params):
+    """repair's search without the closed-subtree cut: (scored formulas in
+    order, trivial leaves, best formula, best fitness)."""
+    best, best_fit, best_key = None, float("-inf"), None
+    scored, trivial_leaves = [], []
+    for template in templates:
+        view = _View(template, sample.props)
+        table = view.table(sample, params)
+        last = len(view.steps) - 1
+
+        def prune(assignment, h):
+            if best is None or h == last:
+                return False
+            return bound_mean_fitness(view, assignment, sample, params) < best_fit
+
+        for assignment in _assignments(view, prune):
+            formula, _, trivial = table.verdict(assignment)
+            if trivial:
+                trivial_leaves.append(dict(assignment))
+                continue
+            scored.append(formula)
+            fit = table.fitness(assignment)
+            if not (fit > best_fit or (fit == best_fit and best is not None)):
+                continue
+            key = (node_count(formula), format_formula(formula))
+            if fit > best_fit or key < best_key:
+                best, best_fit, best_key = formula, fit, key
+    return scored, trivial_leaves, best, best_fit
+
+
+def search_with_spies(sample, templates, params):
+    """repair, recording the scored formulas in order, the leaves rejected by
+    their verdict and the partial assignments cut at a closed subtree."""
+    scored, rejected, cuts = [], [], []
+    fitness, verdict = _SlotTable.fitness, _SlotTable.verdict
+
+    def spy_fitness(table, assignment):
+        scored.append(table.formula(assignment))
+        return fitness(table, assignment)
+
+    def spy_verdict(table, assignment, i=1):
+        out = verdict(table, assignment, i)
+        if out[2]:
+            (rejected if i == 1 else cuts).append(dict(assignment))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SlotTable, "fitness", spy_fitness)
+        mp.setattr(_SlotTable, "verdict", spy_verdict)
+        out = repair(sample, templates, params, kappa=0.0, budget=SearchBudget(time_limit=120.0))
+    return out, scored, rejected, cuts
+
+
+# templates with a ?<2> region that closes before the last hole is chosen, so
+# that (p & p), (p | !p) and the like are cut there
+CLOSING_EARLY = ("((q ? X(?<1>)) ? ?<2>)", "(?<2> ? X(?<1>))", "G((?<2> -> F(?<1>)))")
+
+
+class TestClosedSubtreeCut:
+    def check(self, sample, templates, params):
+        ref_scored, ref_trivial, ref_best, ref_fit = reference_search(sample, templates, params)
+        out, scored, rejected, cuts = search_with_spies(sample, templates, params)
+        assert scored == ref_scored
+        assert (out.best.formula if out.best else None) == ref_best
+        if ref_best is not None:
+            assert out.fitness == ref_fit
+        stats = out.stats
+        assert stats.cut_closed == len(cuts) and stats.rejected_trivial == len(rejected)
+        assert stats.leaves == stats.scored + stats.rejected_trivial
+        # every trivial leaf of the reference is rejected at the leaf or lies
+        # below a cut (a cut's holes are a prefix of the hole order)
+        cut_prefixes = {tuple(sorted(cut.items())) for cut in cuts}
+        below = [a for a in ref_trivial
+                 if any(tuple(sorted(a.items()))[:n] in cut_prefixes for n in range(len(a)))]
+        assert [a for a in ref_trivial if a not in below] == rejected
+        assert len(below) + stats.rejected_trivial == len(ref_trivial)
+        return stats
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
+           st.sampled_from(STRATEGIES + CLOSING_EARLY))
+    def test_same_search_as_without_the_cut(self, seed, kind, how):
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        if how in STRATEGIES:
+            templates = make_templates(
+                stacking_source(rng, props), d=2, strategy=how,
+                hole_prob=rng.choice([0.3, 0.6]), seed=seed, count=2,
+            )
+            templates = [t for t in templates if len(t.hole_indices) <= 5]
+        else:
+            templates = [parse_template(how)]
+        if not templates:
+            return
+        self.check(random_sample(rng, props), templates, random_params(rng, kind))
+
+    @pytest.mark.parametrize("kind", [ROBUST, DISCOUNTED])
+    @pytest.mark.parametrize("text", CLOSING_EARLY)
+    def test_cuts_a_trivial_region_before_the_leaf(self, kind, text):
+        rng = random.Random(3)
+        stats = self.check(random_sample(rng, PQ), [parse_template(text)],
+                           random_params(rng, kind))
+        assert stats.cut_closed > 0
+
 
 
 class TestNoCycles:
