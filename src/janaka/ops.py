@@ -10,11 +10,27 @@ MILP export (variable-name codes). Each entry holds, for one label:
 * ``code``: the label's code in MILP variable names;
 * ``qualitative``, ``robust``, ``discounted``: value kernels;
 * ``robust_flags``: the decisive flags of a robust value (below);
-* ``robust_interval``: the kernel of the repair bound for the operators that
-  are not monotone under the robust semantics (``| -> F U``). Every other
-  operator is monotone in each child under both semantics (``->`` antitone
-  on the left under the discounted one), so the bound applies its value
-  kernel to the interval endpoints (:meth:`Op.interval`).
+* ``robust_bounds``: the (low, high) :class:`Endpoint` pair of the repair
+  bound for the operators whose robust value kernel is not monotone in each
+  child (``| -> F U``);
+* ``antitone_left``: the operator falls as its left (only) child rises
+  (``->`` under both semantics, ``!``).
+
+The repair bound carries per-position (lows, highs) intervals, one endpoint
+at a time: each endpoint of an operator is a kernel over the endpoints of its
+children that it names (:meth:`Op.endpoint`), so a caller computes only the
+endpoints it reads. A monotone operator's endpoint applies its value kernel
+to the same endpoint of each child, except that an antitone left child is
+read at the opposite one. The robust rows state their own:
+
+* ``|``: high = beta*max over the highs, low = beta*avg over the lows;
+* ``->``: as ``!f | g``, reading f's low (negated) for the high and f's high
+  (negated) for the low;
+* F and U: the high is the witness chain over the child's high (U: the right
+  child's; see the scans below); the low is the constant 0 (F) or -1 (U) and
+  reads no child, so U's left child is never bounded.
+
+:meth:`Op.interval` is the pair of the two endpoints.
 
 Kernels take the semantics parameters and their children's results and
 return the node's. A result is one flat list over the whole sample: the
@@ -24,9 +40,10 @@ trace in that list, and each temporal kernel makes its right-to-left pass
 trace by trace, resetting its state at each trace end; without segments the
 whole list is one trace. The connectives and negation are elementwise and
 ignore the segments. The literal entry's kernels take an atom name and the
-states instead. The flag kernels take (values, flags) pairs and interval
-kernels (lows, highs) pairs. Kernels do no validation; the public entry points
-do.
+states instead. The flag kernels take (values, flags) pairs. An endpoint kernel
+takes the endpoint vectors it reads; one that reads none learns the list's
+length from the segments, which it needs. Kernels do no validation; the public
+entry points do.
 
 Qualitative (finite traces): X is strong next (false at the last position);
 U needs a witness inside the word.
@@ -67,7 +84,7 @@ the child highs):
 * robust U: r_t = g_t where g_t >= 0, else fail where f_t < 0, else
   alpha*r_{t+1} (fail and the gamma state carry over); the value is r_t, -1 on
   fail, gamma*alpha^(n-t) in the gamma state (no witness, f never < 0).
-* robust F/U interval highs: H_t = max(h_t, alpha*H_{t+1}) with H_n = 0, then
+* robust F/U highs: H_t = max(h_t, alpha*H_{t+1}) with H_n = 0, then
   the max with the gamma term (times beta for F). This is the value kernels'
   alpha-chain: float multiplication by alpha and max are monotone, so the
   highs dominate the values of any child values at or below h exactly.
@@ -75,20 +92,26 @@ the child highs):
   beta*(1 - M_t); U: V_t = max(g_t, min(f_t, alpha*V_{t+1})) with V_n = 0,
   the max-min above because a positive alpha commutes with min and max.
 
+Every max and min of two floats is written as the comparison the builtin
+makes, ``max(x, y)`` as ``y if y > x else x`` and ``min(x, y)`` as
+``y if y < x else x``: it returns the builtin's operand, so ties between 0.0
+and -0.0 come out the same, without a builtin call per position.
+
 The scans round differently from a per-position rescan of the suffix that
 sums the alpha^i terms as written above; tests/test_kernels.py keeps such
 rescans as the reference and holds the scans to 1e-12 relative of them.
 Equal bit for bit: robust G's -beta case and its flag, the gamma cases of F
-and U, and every kernel of X, the literals, the boolean connectives, the
-qualitative semantics and the decisive flags. The MILP export
-(:mod:`janaka.milp`) encodes the same robust and discounted scans: each
-position's rows read only the next position's auxiliaries.
+and U, the bound's constant lows, and every kernel of X, the literals, the
+boolean connectives, the qualitative semantics and the decisive flags. The
+MILP export (:mod:`janaka.milp`) encodes the same robust and discounted
+scans: each position's rows read only the next position's auxiliaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 TRUE_ATOM = "true"
 ROBUST = "robust"
@@ -165,6 +188,15 @@ class Until(_Node):
 Formula = Atom | Not | And | Or | Implies | Next | Finally | Globally | Until
 
 
+class Endpoint(NamedTuple):
+    """One endpoint of an operator's bound: ``kernel(p, *vectors, segments=)``
+    over the children's endpoints that ``reads`` names, as (child, high)
+    pairs in argument order."""
+
+    kernel: Callable
+    reads: tuple[tuple[int, bool], ...]
+
+
 @dataclass(frozen=True)
 class Op:
     """One row of the operator table; the fields are described above."""
@@ -177,7 +209,7 @@ class Op:
     robust: Callable
     discounted: Callable
     robust_flags: Callable
-    robust_interval: Callable | None = None
+    robust_bounds: tuple[Endpoint, Endpoint] | None = None
     antitone_left: bool = False
 
     def robust_pair(self, p, *kids, segments=None):
@@ -187,16 +219,31 @@ class Op:
         return (self.robust(p, *(vals for vals, _ in kids), segments=segments),
                 self.robust_flags(p, *kids, segments=segments))
 
+    def endpoint(self, kind: str, high: bool) -> Endpoint:
+        """The low (high=False) or the high of this operator's bound under
+        the robust or discounted semantics."""
+        return self._endpoints[kind][high]
+
+    @cached_property
+    def _endpoints(self) -> dict:
+        # a monotone operator reads each child's same endpoint, an antitone
+        # left child its opposite one
+        same = tuple(
+            tuple((k, high != (k == 0 and self.antitone_left)) for k in range(self.arity))
+            for high in (False, True)
+        )
+        return {
+            kind: (self.robust_bounds if kind == ROBUST and self.robust_bounds is not None
+                   else tuple(Endpoint(getattr(self, kind), reads) for reads in same))
+            for kind in (ROBUST, DISCOUNTED)
+        }
+
     def interval(self, p, *kids, segments=None):
-        """(lows, highs) of this operator over its children's (lows, highs)."""
-        if p.kind == ROBUST and self.robust_interval is not None:
-            return self.robust_interval(p, *kids, segments=segments)
-        kernel = getattr(self, p.kind)
-        lows = [lo for lo, _ in kids]
-        highs = [hi for _, hi in kids]
-        if self.antitone_left:
-            lows[0], highs[0] = highs[0], lows[0]
-        return kernel(p, *lows, segments=segments), kernel(p, *highs, segments=segments)
+        """(lows, highs) of this operator over its children's (lows, highs):
+        its two endpoints."""
+        segments = _traces(segments, len(kids[0][1]))
+        return tuple(kernel(p, *[kids[k][h] for k, h in reads], segments=segments)
+                     for kernel, reads in self._endpoints[p.kind])
 
 
 # --- literals and negation ---------------------------------------------------
@@ -262,12 +309,14 @@ def _rob_and(p, lv, rv, *, segments=None):
 
 def _rob_or(p, lv, rv, *, segments=None):
     b = p.beta
-    return [b * ((x + y) / 2 if x >= 0 and y >= 0 else max(x, y)) for x, y in zip(lv, rv)]
+    return [b * ((x + y) / 2 if x >= 0 and y >= 0 else y if y > x else x)
+            for x, y in zip(lv, rv)]
 
 
 def _rob_implies(p, lv, rv, *, segments=None):
     b = p.beta
-    return [b * ((-x + y) / 2 if x < 0 and y >= 0 else max(-x, y)) for x, y in zip(lv, rv)]
+    return [b * ((-x + y) / 2 if x < 0 and y >= 0 else y if y > -x else -x)
+            for x, y in zip(lv, rv)]
 
 
 def _flags_both(p, left, right, *, segments=None):
@@ -276,29 +325,40 @@ def _flags_both(p, left, right, *, segments=None):
 
 def _disc_and(p, lv, rv, *, segments=None):
     b = p.beta
-    return [b * min(x, y) for x, y in zip(lv, rv)]
+    return [b * (y if y < x else x) for x, y in zip(lv, rv)]
 
 
 def _disc_or(p, lv, rv, *, segments=None):
     b = p.beta
-    return [b * max(x, y) for x, y in zip(lv, rv)]
+    return [b * (y if y > x else x) for x, y in zip(lv, rv)]
 
 
 def _disc_implies(p, lv, rv, *, segments=None):
     b = p.beta
-    return [b * max(1.0 - x, y) for x, y in zip(lv, rv)]
+    return [b * (y if y > 1.0 - x else 1.0 - x) for x, y in zip(lv, rv)]
 
 
-def _rob_or_interval(p, left, right, *, segments=None):
-    (ll, lh), (rl, rh) = left, right
+def _rob_or_low(p, ll, rl, *, segments=None):
     b = p.beta
-    return [b * (x + y) / 2 for x, y in zip(ll, rl)], [b * max(x, y) for x, y in zip(lh, rh)]
+    return [b * (x + y) / 2 for x, y in zip(ll, rl)]
 
 
-def _rob_implies_interval(p, left, right, *, segments=None):
-    # the envelope of f -> g is that of !f | g
-    ll, lh = left
-    return _rob_or_interval(p, ([-v for v in lh], [-v for v in ll]), right)
+def _rob_or_high(p, lh, rh, *, segments=None):
+    b = p.beta
+    return [b * (y if y > x else x) for x, y in zip(lh, rh)]
+
+
+# the envelope of f -> g is that of !f | g: f's high negated is !f's low
+
+
+def _rob_implies_low(p, lh, rl, *, segments=None):
+    b = p.beta
+    return [b * (-x + y) / 2 for x, y in zip(lh, rl)]
+
+
+def _rob_implies_high(p, ll, rh, *, segments=None):
+    b = p.beta
+    return [b * (y if y > -x else -x) for x, y in zip(ll, rh)]
 
 
 # --- temporal operators ------------------------------------------------------
@@ -449,7 +509,8 @@ def _disc_finally(p, cv, *, segments=None):
     for start, end in _traces(segments, len(cv)):
         m = float("-inf")
         for t in range(end - 1, start - 1, -1):
-            m = max(cv[t], a * m)
+            v, am = cv[t], a * m
+            m = am if am > v else v
             out[t] = b * m
     return out
 
@@ -461,7 +522,8 @@ def _disc_globally(p, cv, *, segments=None):
     for start, end in _traces(segments, len(cv)):
         m = float("-inf")
         for t in range(end - 1, start - 1, -1):
-            m = max(1.0 - cv[t], a * m)
+            v, am = 1.0 - cv[t], a * m
+            m = am if am > v else v
             out[t] = b * (1.0 - m)
     return out
 
@@ -474,7 +536,9 @@ def _disc_until(p, lv, rv, *, segments=None):
     for start, end in _traces(segments, len(lv)):
         u = 0.0
         for t in range(end - 1, start - 1, -1):
-            u = max(rv[t], min(lv[t], a * u))
+            f, g, au = lv[t], rv[t], a * u
+            m = au if au < f else f
+            u = m if m > g else g
             out[t] = u
     return out
 
@@ -489,36 +553,58 @@ def _rob_witness_highs(p, hs, b, segments):
     for start, end in _traces(segments, len(hs)):
         h = 0.0
         for t in range(end - 1, start - 1, -1):
-            h = max(hs[t], a * h)
-            out[t] = max(b * g * a ** (end - t), b * h)
+            v, ah = hs[t], a * h
+            h = ah if ah > v else v
+            gt, bh = b * g * a ** (end - t), b * h
+            out[t] = bh if bh > gt else gt
     return out
 
 
-def _rob_finally_interval(p, child, *, segments=None):
-    return [0.0] * len(child[1]), _rob_witness_highs(p, child[1], p.beta, segments)
+def _length(segments):
+    return segments[-1][1] if segments else 0
 
 
-def _rob_until_interval(p, left, right, *, segments=None):
-    return [-1.0] * len(right[1]), _rob_witness_highs(p, right[1], 1.0, segments)
+def _rob_finally_low(p, *, segments=None):
+    return [0.0] * _length(segments)
+
+
+def _rob_finally_high(p, ch, *, segments=None):
+    return _rob_witness_highs(p, ch, p.beta, segments)
+
+
+def _rob_until_low(p, *, segments=None):
+    return [-1.0] * _length(segments)
+
+
+def _rob_until_high(p, rh, *, segments=None):
+    return _rob_witness_highs(p, rh, 1.0, segments)
 
 
 # --- the table ---------------------------------------------------------------
 
+LO, HI = False, True  # the endpoint a bound reads of a child
 LITERAL = Op("", 0, Atom, "lit", _qual_atom, _rob_atom, _disc_atom, _flags_atom)
-NOT = Op(NEGATION, 1, Not, "nlit", _qual_not, _rob_not, _disc_not, _flags_not)
+NOT = Op(NEGATION, 1, Not, "nlit", _qual_not, _rob_not, _disc_not, _flags_not,
+         antitone_left=True)
 OPS: dict[str, Op] = {
     op.label: op
     for op in (
         Op(AND, 2, And, "and", _qual_and, _rob_and, _disc_and, _flags_both),
-        Op(OR, 2, Or, "or", _qual_or, _rob_or, _disc_or, _flags_both, _rob_or_interval),
+        Op(OR, 2, Or, "or", _qual_or, _rob_or, _disc_or, _flags_both,
+           (Endpoint(_rob_or_low, ((0, LO), (1, LO))),
+            Endpoint(_rob_or_high, ((0, HI), (1, HI))))),
         Op(IMPLIES, 2, Implies, "imp", _qual_implies, _rob_implies, _disc_implies,
-           _flags_both, _rob_implies_interval, antitone_left=True),
+           _flags_both,
+           (Endpoint(_rob_implies_low, ((0, HI), (1, LO))),
+            Endpoint(_rob_implies_high, ((0, LO), (1, HI)))),
+           antitone_left=True),
         Op(UNTIL, 2, Until, "u", _qual_until, _rob_until, _disc_until, _flags_until,
-           _rob_until_interval),
+           (Endpoint(_rob_until_low, ()), Endpoint(_rob_until_high, ((1, HI),)))),
         Op(GLOBALLY, 1, Globally, "g", _qual_globally, _rob_globally, _disc_globally,
            _flags_globally),
         Op(FINALLY, 1, Finally, "f", _qual_finally, _rob_finally, _disc_finally,
-           _flags_finally, _rob_finally_interval),
+           _flags_finally,
+           (Endpoint(_rob_finally_low, ()), Endpoint(_rob_finally_high, ((0, HI),)))),
         Op(NEXT, 1, Next, "x", _qual_next, _rob_next, _disc_next, _flags_next),
         NOT,
     )

@@ -23,30 +23,41 @@ rejects its formula, but the search never walks a leaf to decide it:
   G (F) is never offered G (F), nor is a hole whose fixed left child is G (F);
   a fixed G (F) over a fixed G (F) leaves the template nothing to enumerate.
 * Identical children, ``x & !x`` / ``x | !x``, and G or F over a
-  propositional tautology are closed-subtree rules. Every slot's table entry
-  carries the verdict ``(formula, propositional, trivial)`` of its subtree,
-  recomputed from its children's like the other entries below. A trivial
+  propositional tautology are closed-subtree rules (:data:`RULES`). Every
+  slot's table entry carries the verdict of its subtree: an id interned per
+  table, keyed by the literal's label or by the operator's label and its
+  children's ids, so equal ids are equal formulas. Each id is judged once,
+  when it is interned: identical children are equal ids, ``x & !x`` compares
+  two literal labels, and the tautology test of a G or F child is cached per
+  id. The rule that fired (or None) is kept per id, and a formula is decoded
+  from its id only where one is needed: the incumbent's tie-break key,
+  :meth:`_SlotTable.formula` and :func:`enumerate_fillings`. A trivial
   verdict makes every subtree above it trivial, so a branch is cut as soon as
   the last hole below some slot is chosen and that slot's verdict is trivial
   (``_View.closing`` names the slot per hole); a leaf whose root verdict is
-  trivial is rejected unscored.
+  trivial is rejected unscored. Both are counted per rule in
+  :class:`SearchStats`.
 
-The bound propagates per-position value intervals through the template:
-fixed or assigned labels combine child intervals through their operator's
-interval kernel (:meth:`janaka.ops.Op.interval`); unresolved holes contribute
-the full value range of any formula fitting their remaining depth
-(:func:`janaka.semantics.value_range`).
+The bound propagates per-position value intervals through the template, one
+endpoint at a time: the root's high is asked for, and each slot computes an
+endpoint from the children's endpoints that its operator's endpoint kernel
+reads (:meth:`janaka.ops.Op.endpoint`), so a low is computed only below the
+left side of an implication, and robust U never bounds its left child.
+Unresolved holes contribute the full value range of any formula fitting
+their remaining depth (:func:`janaka.semantics.value_range`).
 
 A search keeps one per-slot table (:class:`_SlotTable`) for its template,
-sample and semantics parameters. For every slot it holds one flat entry over
+sample and semantics parameters. For every slot it holds flat entries over
 the whole sample, in the layout of :func:`janaka.semantics.flat_layout` (the
-traces' positions concatenated, with each trace's segment): the interval
-vectors of the bound and the value vector of leaf scoring, each made by one
-kernel call for all traces, and the slot's verdict. Each entry carries the
-slot's stamp at the time it was computed. Whenever the label of a hole
-differs from the one the table last saw, the stamps of that hole and of every
-ancestor (``i, i >> 1, ..., 1``) go up, so exactly the entries whose subtree
-changed are recomputed, in whatever order assignments arrive. Fixed
+traces' positions concatenated, with each trace's segment): the low and the
+high of the bound, each kept on its own, and the value vector of leaf
+scoring, each made by one kernel call for all traces, and the slot's
+verdict. Each entry carries the slot's stamp at the time it was computed.
+Whenever the label of a hole differs from the one the table last saw, the
+stamps of that hole and of every ancestor (``i, i >> 1, ..., 1``) go up, so
+exactly the entries whose subtree changed are recomputed, in whatever order
+assignments arrive. A slot whose parent's operator flips keeps its stamp:
+the endpoint it holds is served and only a missing one is computed. Fixed
 subtrees, literal vectors and the value ranges of open holes are computed
 once per table. The bound and the leaf score sum the root's entry at the
 trace starts in trace order and divide by the trace count, as
@@ -115,6 +126,15 @@ _TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
 # why a search stopped
 EXHAUSTED, TIME, NODES = "exhausted", "time", "nodes"
 
+# the closed-subtree triviality rules: identical children of a binary node,
+# x & !x or x | !x, and G or F over a propositional tautology
+IDENTICAL, COMPLEMENT, TAUTOLOGY = "identical", "complement", "tautology"
+RULES = (IDENTICAL, COMPLEMENT, TAUTOLOGY)
+
+
+def _per_rule() -> dict[str, int]:
+    return dict.fromkeys(RULES, 0)
+
 
 @dataclass(frozen=True)
 class Filling:
@@ -136,7 +156,13 @@ class SearchBudget:
 
 @dataclass
 class SearchStats:
-    """What one repair call's search did, summed over its templates."""
+    """What one repair call's search did, summed over its templates.
+
+    ``slot_recomputed`` and ``slot_hits`` count slot-table entries computed
+    and served by their stamp; each endpoint of the bound (a slot's low or
+    its high), each value vector and each verdict counts once.
+    ``cut_by_rule`` and ``rejected_by_rule`` split ``cut_closed`` and
+    ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`)."""
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
@@ -145,9 +171,11 @@ class SearchStats:
     scored: int = 0  # leaves scored; equals RepairOutcome.explored
     bound_calls: int = 0
     prunes: int = 0  # bound calls that abandoned a branch
-    slot_recomputed: int = 0  # slot-table entries recomputed (bound, value, verdict)
+    slot_recomputed: int = 0  # slot-table entries computed
     slot_hits: int = 0  # slot-table entries served by their stamp
     stop: str = EXHAUSTED  # exhausted | time | nodes
+    cut_by_rule: dict[str, int] = field(default_factory=_per_rule)
+    rejected_by_rule: dict[str, int] = field(default_factory=_per_rule)
 
 
 @dataclass
@@ -251,11 +279,12 @@ class _View:
 
 
 class _SlotTable:
-    """Per-slot intervals, values and verdicts of one template over one
+    """Per-slot bound endpoints, values and verdicts of one template over one
     sample under one set of parameters, recomputed only where a hole label
     below the slot changed (module docstring). Without a sample it decodes
     formulas and verdicts only. ``recomputed`` and ``hits`` count the entries
-    recomputed and those served by their stamp, over all three kinds."""
+    computed and those served by their stamp: each endpoint, value vector and
+    verdict once."""
 
     def __init__(self, template: Template, sample: Sample | None = None,
                  p: SemanticsParams | None = None):
@@ -270,11 +299,20 @@ class _SlotTable:
             for i, slot in template.slots
         }
         self.stamp = dict.fromkeys(self.label, 0)
-        self._bounds: dict = {}
+        self._bounds: dict = {}  # slot -> [stamp, low, high], None where not computed
         self._values: dict = {}
         self._verdicts: dict = {}
         self._literals: dict = {}
         self._ranges: dict = {}
+        # interned verdicts: a literal's key is its label, an operator node's
+        # (label, *child ids); per id its key, whether its formula has no
+        # temporal operator, and the triviality rule that fired (or None)
+        self._ids: dict = {}
+        self._keys: list = []
+        self._propositional: list[bool] = []
+        self._rules: list[str | None] = []
+        self._tautologies: dict[int, bool] = {}
+        self._formulas: dict[int, Formula] = {}
         self.recomputed = self.hits = 0  # entries recomputed / served by their stamp
 
     def _sync(self, assignment) -> None:
@@ -306,6 +344,31 @@ class _SlotTable:
         cache[i] = (stamp, out)
         return out
 
+    def _endpoint(self, i, high: bool):
+        """Slot i's low (high=False) or high, from the endpoints of its
+        children that its operator reads (:meth:`janaka.ops.Op.endpoint`);
+        the other endpoint of the same stamp is kept, not recomputed."""
+        stamp = self.stamp[i]
+        entry = self._bounds.get(i)
+        if entry is None or entry[0] != stamp:
+            entry = self._bounds[i] = [stamp, None, None]
+        out = entry[1 + high]
+        if out is not None:
+            self.hits += 1
+            return out
+        self.recomputed += 1
+        label = self.label[i]
+        op = OPS.get(label)
+        if op is None:
+            out = self._open(self.heights[i])[high] if label == "?" else self._literal(label)
+        else:
+            p = self.params
+            kernel, reads = op.endpoint(p.kind, high)
+            out = kernel(p, *[self._endpoint(2 * i + k, h) for k, h in reads],
+                         segments=self.segments)
+        entry[1 + high] = out
+        return out
+
     def _literal(self, label: str):
         out = self._literals.get(label)
         if out is None:
@@ -322,15 +385,6 @@ class _SlotTable:
             out = self._ranges[height] = ([lo for lo, _ in ranges], [hi for _, hi in ranges])
         return out
 
-    def _bound_leaf(self, label, i):
-        if label == "?":
-            return self._open(self.heights[i])
-        vals = self._literal(label)
-        return vals, vals
-
-    def _bound_combine(self, op, *kids):
-        return op.interval(self.params, *kids, segments=self.segments)
-
     def _value_leaf(self, label, i):
         if label == "?":
             raise ValueError(f"slot {i} is unassigned")
@@ -340,35 +394,57 @@ class _SlotTable:
         p = self.params
         return getattr(op, p.kind)(p, *kids, segments=self.segments)
 
-    @staticmethod
-    def _verdict_leaf(label, i):
+    def _intern(self, key, propositional: bool, rule: str | None) -> int:
+        vid = self._ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._propositional.append(propositional)
+        self._rules.append(rule)
+        return vid
+
+    def _verdict_leaf(self, label, i):
         if label == "?":
             raise ValueError(f"slot {i} is unassigned")
-        return decode_label(label), True, False
+        vid = self._ids.get(label)
+        return self._intern(label, True, None) if vid is None else vid
 
-    @staticmethod
-    def _verdict_combine(op, *kids):
-        """The closed-subtree rules of :func:`triviality_filter` at one node,
-        given its children's verdicts; GG and FF are the enumeration's cut."""
-        formula = op.cls(*[f for f, _, _ in kids])
-        propositional = op.label not in _TEMPORAL and all(prop for _, prop, _ in kids)
-        if any(trivial for _, _, trivial in kids):
-            return formula, propositional, True
-        if op.arity == 2:
-            (left, _, _), (right, _, _) = kids
-            trivial = left == right or op.label in (AND, OR) and (
-                isinstance(right, Not) and right.child == left
-                or isinstance(left, Not) and left.child == right
-            )
-        else:
-            [(child, child_propositional, _)] = kids
-            trivial = op.label in _STACKING and child_propositional and _tautology(child)
-        return formula, propositional, trivial
+    def _verdict_combine(self, op, *kids):
+        """The id of the node over its children's ids, judged once per id by
+        the closed-subtree rules of :func:`triviality_filter`; GG and FF are
+        the enumeration's cut."""
+        key = (op.label, *kids)
+        vid = self._ids.get(key)
+        if vid is not None:
+            return vid
+        props, rules = self._propositional, self._rules
+        propositional = op.label not in _TEMPORAL and all(props[k] for k in kids)
+        rule = next((rules[k] for k in kids if rules[k]), None)  # a trivial child's
+        if rule is None:
+            if op.arity == 2:
+                left, right = kids
+                if left == right:
+                    rule = IDENTICAL
+                elif op.label in (AND, OR) and self._complementary(left, right):
+                    rule = COMPLEMENT
+            elif op.label in _STACKING and props[kids[0]] and self._tautology(kids[0]):
+                rule = TAUTOLOGY
+        return self._intern(key, propositional, rule)
+
+    def _complementary(self, a: int, b: int) -> bool:
+        # x and !x are literals: only a literal's key is its label
+        x, y = self._keys[a], self._keys[b]
+        return isinstance(x, str) and isinstance(y, str) and (
+            y == NEGATION + x or x == NEGATION + y)
+
+    def _tautology(self, vid: int) -> bool:
+        out = self._tautologies.get(vid)
+        if out is None:
+            out = self._tautologies[vid] = _tautology(self.decode(vid))
+        return out
 
     def bound(self, assignment) -> float:
         """Mean over the traces of the root's high at each trace start."""
         self._sync(assignment)
-        highs = self._entry(self._bounds, self._bound_leaf, self._bound_combine, 1)[1]
+        highs = self._endpoint(1, True)
         total = 0.0
         for start in self.starts:
             total += highs[start]
@@ -383,16 +459,34 @@ class _SlotTable:
             total += vals[start]
         return total / len(self.starts)
 
-    def verdict(self, assignment, i: int = 1) -> tuple[Formula, bool, bool]:
-        """(formula, propositional, trivial) of slot i's subtree, every hole of
-        which the assignment decides (the root's: a complete assignment); GG
-        and FF nesting are not judged here (the enumeration cuts them)."""
+    def verdict(self, assignment, i: int = 1) -> int:
+        """The interned id of slot i's subtree, every hole of which the
+        assignment decides (the root's: a complete assignment). Equal ids
+        are equal formulas; :meth:`rule` and :meth:`decode` read an id."""
         self._sync(assignment)
         return self._entry(self._verdicts, self._verdict_leaf, self._verdict_combine, i)
 
+    def rule(self, vid: int) -> str | None:
+        """The closed-subtree rule that makes the id's formula trivial, or
+        None; GG and FF nesting are not judged here (the enumeration cuts
+        them)."""
+        return self._rules[vid]
+
+    def decode(self, vid: int) -> Formula:
+        """The formula of an id."""
+        out = self._formulas.get(vid)
+        if out is None:
+            key = self._keys[vid]
+            if isinstance(key, str):
+                out = decode_label(key)
+            else:
+                out = OPS[key[0]].cls(*[self.decode(k) for k in key[1:]])
+            self._formulas[vid] = out
+        return out
+
     def formula(self, assignment) -> Formula:
         """The formula of a complete assignment."""
-        return self.verdict(assignment)[0]
+        return self.decode(self.verdict(assignment))
 
 
 def _offered(step, assignment, stats):
@@ -572,9 +666,12 @@ def repair(
                 raise _Stop(TIME)
             # a trivial subtree makes every leaf below the branch trivial
             closed = closing[h]
-            if closed and table.verdict(assignment, closed)[2]:
-                stats.cut_closed += 1
-                return True
+            if closed:
+                rule = table.rule(table.verdict(assignment, closed))
+                if rule is not None:
+                    stats.cut_closed += 1
+                    stats.cut_by_rule[rule] += 1
+                    return True
             if best is None or h == last:
                 return False
             stats.bound_calls += 1
@@ -590,15 +687,19 @@ def repair(
                 if stats.scored >= budget.node_limit:
                     raise _Stop(NODES)
                 stats.leaves += 1
-                formula, _, trivial = table.verdict(assignment)
-                if trivial:
+                vid = table.verdict(assignment)
+                rule = table.rule(vid)
+                if rule is not None:
                     stats.rejected_trivial += 1
+                    stats.rejected_by_rule[rule] += 1
                     continue
                 stats.scored += 1
                 fit = table.fitness(assignment)
                 if not (fit > best_fit or (fit == best_fit and best is not None)):
                     continue
-                # the tie-break key only for leaves that can become the incumbent
+                # the formula and its tie-break key only for leaves that can
+                # become the incumbent
+                formula = table.decode(vid)
                 key = (node_count(formula), format_formula(formula))
                 if fit > best_fit or key < best_key:
                     holes = tuple((i, assignment[i]) for i in sorted(assignment))

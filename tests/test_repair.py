@@ -435,14 +435,19 @@ class TestSlotTables:
             return
         queries = rng.sample(leaves, min(60, len(leaves)))
         holes = list(template.hole_indices)
+        formulas, ids = {}, {}
         for _ in range(3 * len(queries)):
             a = rng.choice(queries)
             if rng.random() < 0.3:
                 bound_mean_fitness(view, {i: a[i] for i in holes if rng.random() < 0.5},
                                    sample, params)
-            formula, _, trivial = table.verdict(a)
+            vid = table.verdict(a)
+            formula = table.decode(vid)
             assert formula == _decode(view.m, a)
-            assert trivial == triviality_filter(formula)
+            assert (table.rule(vid) is not None) == triviality_filter(formula)
+            # equal ids are equal formulas, and the other way round
+            assert formulas.setdefault(vid, formula) == formula
+            assert ids.setdefault(formula, vid) == vid
             if rng.random() < 0.3:
                 assert table.fitness(a) == sample_fitness(formula, sample, params)
 
@@ -491,8 +496,66 @@ class TestSlotTables:
         assert (table.recomputed, table.hits) == (7, 2)  # 5, 2 and 1; 4 is served
         table.verdict({4: "p", 5: "!q"})
         assert (table.recomputed, table.hits) == (11, 2)  # another table's entries
+        # the bound: the root's high, ->'s high, 4's low and 5's high
+        table.bound({4: "p", 5: "!q"})
+        assert (table.recomputed, table.hits) == (15, 2)
+        table.bound({4: "p"})
+        assert (table.recomputed, table.hits) == (18, 3)  # 5, 2 and 1; 4's low is served
         stats = repair(sample, [template], SemanticsParams(kind=ROBUST), kappa=0.0).stats
         assert stats.slot_recomputed > 0 and stats.slot_hits > 0
+
+    @pytest.mark.parametrize("kind", [ROBUST, DISCOUNTED])
+    def test_an_operator_flip_computes_the_missing_endpoint_only(self, kind):
+        # a binary hole over q at 2 and p at 3
+        table = _SlotTable(parse_template("(q ? p)"), all_p_sample(props=PQ),
+                           SemanticsParams(kind=kind))
+        table.bound({1: "&"})
+        assert (table.recomputed, table.hits) == (3, 0)  # the highs of 1, 2 and 3
+        table.bound({1: "->"})
+        assert (table.recomputed, table.hits) == (5, 1)  # 1's high and 2's low
+        table.bound({1: "&"})
+        assert (table.recomputed, table.hits) == (6, 3)  # 1's high; 2 and 3 are served
+
+    def test_robust_until_never_bounds_its_left_subtree(self):
+        template = parse_template("(?<2> U p)")
+        sample = all_p_sample(props=PQ)
+        table = _SlotTable(template, sample, SemanticsParams(kind=ROBUST))
+        for a in ({}, {2: "q"}, {2: "G", 4: "q"}, {2: "&", 4: "p", 5: "q"}, {}):
+            table.bound(a)
+        # 3's high once, then served; the root's high once per assignment
+        assert (table.recomputed, table.hits) == (6, 4)
+        assert sorted(table._bounds) == [1, 3]
+        # the discounted U reads both children
+        table = _SlotTable(template, sample, SemanticsParams(kind=DISCOUNTED))
+        table.bound({2: "q"})
+        assert sorted(table._bounds) == [1, 2, 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
+    def test_no_lows_outside_implication_left_sides(self, seed, kind):
+        # the root reads its high; a low is read only through the left child
+        # of an implication, so every low a bound computes lies in the left
+        # subtree of a slot labelled ->
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q"])
+        f = random_formula(rng, depth=rng.randint(2, 3), atoms=list(props), mode="nnf")
+        [template] = make_templates(f, d=2, strategy=RANDOM, hole_prob=0.6, seed=seed)
+        view = _View(template, props)
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        holes = list(template.hole_indices)
+        leaves = [dict(a) for a in itertools.islice(_assignments(view), 500)]
+        for a in rng.sample(leaves, min(20, len(leaves))):
+            table = _SlotTable(template, sample, params)
+            table.bound({i: a[i] for i in holes if rng.random() < 0.6})
+            computed = [(i, high) for i, entry in table._bounds.items()
+                        for high in (False, True) if entry[1 + high] is not None]
+            assert table.recomputed == len(computed) and table.hits == 0
+            for i, high in computed:
+                if high:
+                    continue
+                while i > 1 and not (i % 2 == 0 and table.label[i >> 1] == "->"):
+                    i >>= 1
+                assert i > 1, f"a low outside every -> left side in {template}"
 
     def test_negation_slot_is_refused(self):
         t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
@@ -519,8 +582,9 @@ def reference_search(sample, templates, params):
             return bound_mean_fitness(view, assignment, sample, params) < best_fit
 
         for assignment in _assignments(view, prune):
-            formula, _, trivial = table.verdict(assignment)
-            if trivial:
+            vid = table.verdict(assignment)
+            formula = table.decode(vid)
+            if table.rule(vid) is not None:
                 trivial_leaves.append(dict(assignment))
                 continue
             scored.append(formula)
@@ -545,7 +609,7 @@ def search_with_spies(sample, templates, params):
 
     def spy_verdict(table, assignment, i=1):
         out = verdict(table, assignment, i)
-        if out[2]:
+        if table.rule(out) is not None:
             (rejected if i == 1 else cuts).append(dict(assignment))
         return out
 
@@ -572,6 +636,8 @@ class TestClosedSubtreeCut:
         stats = out.stats
         assert stats.cut_closed == len(cuts) and stats.rejected_trivial == len(rejected)
         assert stats.leaves == stats.scored + stats.rejected_trivial
+        assert sum(stats.cut_by_rule.values()) == stats.cut_closed
+        assert sum(stats.rejected_by_rule.values()) == stats.rejected_trivial
         # every trivial leaf of the reference is rejected at the leaf or lies
         # below a cut (a cut's holes are a prefix of the hole order)
         cut_prefixes = {tuple(sorted(cut.items())) for cut in cuts}
@@ -607,6 +673,36 @@ class TestClosedSubtreeCut:
                            random_params(rng, kind))
         assert stats.cut_closed > 0
 
+
+class TestRuleCounts:
+    """Leaves rejected and branches cut, counted by the rule that fired."""
+
+    @pytest.mark.parametrize("slots,rule", [
+        # (p & p), (p & !p) and G((p | (p -> q))), forced by one-label holes
+        (((1, Fixed("&")), (2, Fixed("p")), (3, Hole(("p",)))), "identical"),
+        (((1, Fixed("&")), (2, Fixed("p")), (3, Hole(("!p",)))), "complement"),
+        (((1, Fixed("G")), (2, Fixed("|")), (4, Fixed("p")), (5, Fixed("->")),
+          (10, Fixed("p")), (11, Hole(("q",)))), "tautology"),
+    ])
+    def test_a_forced_trivial_leaf_counts_under_its_rule(self, slots, rule):
+        template = Template(4, slots)
+        sample = all_p_sample(props=PQ)
+        out = repair(sample, [template], SemanticsParams(kind=ROBUST), kappa=0.0)
+        assert out.best is None
+        want = dict.fromkeys(repair_module.RULES, 0)
+        want[rule] = 1
+        assert out.stats.rejected_by_rule == want
+        assert out.stats.rejected_trivial == 1
+        assert out.stats.cut_by_rule == dict.fromkeys(repair_module.RULES, 0)
+
+    def test_cuts_count_under_their_rule(self):
+        # ?<2> closes before the last hole: (p & p) and (p | !p) are cut there
+        rng = random.Random(3)
+        out = repair(random_sample(rng, PQ), [parse_template(CLOSING_EARLY[0])],
+                     random_params(rng, ROBUST), kappa=0.0)
+        by_rule = out.stats.cut_by_rule
+        assert by_rule["identical"] > 0 and by_rule["complement"] > 0
+        assert sum(by_rule.values()) == out.stats.cut_closed
 
 
 class TestNoCycles:
