@@ -10,6 +10,15 @@ is ever made; min/max terms are linearized with selector binaries; big-M
 constants are derived per node from the proven value ranges ([0,1]
 discounted, [-1, robust_upper_bound] robust).
 
+A slot's literal labels share one gated pair per position. At most one of the
+slot's binaries is 1, so the sum of its literal binaries is the gate, and with
+v_l the literal's value and M above |y| (2 discounted, the slot's absolute
+bound plus 1 robust):
+
+    y + sum_l (M - v_l) x_l <= M,    -y + sum_l (M + v_l) x_l <= M
+
+force y = v_l when x_l = 1 and leave |y| <= M when no literal is chosen.
+
 The robust encoding splits operator cases on score signs, one sign binary
 per score, with a margin below zero of EPS times the split's big-M (scores
 in that band are not representable; synthesized scores stay far outside it
@@ -40,6 +49,10 @@ tests/test_milp.py: with x fixed to a filling and every other used slot's
 scores fixed to their native values, each slot's rows admit exactly its
 native scores.
 
+Row text is built from interned pieces: each distinct coefficient's signed
+"± c " prefix and each distinct number is formatted once per model, and
+`value_range` is looked up once per (height, remaining length).
+
 `lp_optimum` parses the emitted subset back and solves it with scipy's MILP
 solver (linear models only: it refuses the robust encoding's quadratic rows);
 `template_from_lp` reads only the bounds and binaries, so it rebuilds the
@@ -49,6 +62,7 @@ template of robust models as well as discounted ones.
 from __future__ import annotations
 
 import io
+from math import copysign
 
 from .errors import DepthExceededError, UnsupportedForExportError
 from .formulas import TRUE_ATOM
@@ -77,30 +91,52 @@ class _Emitter:
         self.binaries: list[str] = []
         self.comments: list[str] = []
         self._n = 0
+        # formatted once per distinct value: a coefficient's "± c " prefix
+        # (0.0 and -0.0 both read "+ 0 ") and a nonzero number
+        self._prefixes: dict[float, str] = {}
+        self._numbers: dict[float, str] = {}
+
+    def _prefix(self, coef: float) -> str:
+        text = self._prefixes[coef] = f"{'+' if coef >= 0 else '-'} {_fmt(abs(coef))} "
+        return text
+
+    def number(self, x: float) -> str:
+        """``_fmt(x)``, formatted once per distinct nonzero value."""
+        if not x:  # one key for 0.0 and -0.0, which _fmt tells apart
+            return "-0" if copysign(1.0, x) < 0 else "0"
+        text = self._numbers.get(x)
+        if text is None:
+            text = self._numbers[x] = _fmt(x)
+        return text
+
+    def line(self, terms: list[str], op: str, rhs: float, quad: bool = False):
+        """Append a row of rendered terms."""
+        self._n += 1
+        text = f" c{self._n}: " + " ".join(terms) + f" {op} {self.number(rhs)}"
+        (self.quads if quad else self.rows).append(text)
 
     def row(self, terms: list[tuple[float, str]], op: str, rhs: float, quad=None):
-        self._n += 1
-        parts = []
-        for coef, var in terms:
-            sign = "+" if coef >= 0 else "-"
-            parts.append(f"{sign} {_fmt(abs(coef))} {var}")
+        get, prefix = self._prefixes.get, self._prefix
+        parts = [(get(c) or prefix(c)) + v for c, v in terms]
         if quad:
-            qparts = []
-            for coef, va, vb in quad:
-                sign = "+" if coef >= 0 else "-"
-                qparts.append(f"{sign} {_fmt(abs(coef))} {va} * {vb}")
+            qparts = [(get(c) or prefix(c)) + f"{va} * {vb}" for c, va, vb in quad]
             parts.append("+ [ " + " ".join(qparts) + " ]")
-        line = f" c{self._n}: " + " ".join(parts) + f" {op} {_fmt(rhs)}"
-        (self.quads if quad else self.rows).append(line)
+        self.line(parts, op, rhs, bool(quad))
 
     def eq_gated(self, yvar: str, terms: list[tuple[float, str]], const: float,
                  gates: list[str], m: float, off=()):
         """y = const + sum(terms) whenever every gate binary is 1 and every
         `off` binary is 0."""
+        get, prefix = self._prefixes.get, self._prefix
         k = len(gates)
-        gate_terms = [(m, g) for g in gates] + [(-m, b) for b in off]
-        self.row([(1.0, yvar)] + [(-c, v) for c, v in terms] + gate_terms, "<=", const + m * k)
-        self.row([(-1.0, yvar)] + [(c, v) for c, v in terms] + gate_terms, "<=", -const + m * k)
+        on, neg = get(m) or prefix(m), get(-m) or prefix(-m)
+        gate_terms = [on + g for g in gates] + [neg + b for b in off]
+        self.line([(get(1.0) or prefix(1.0)) + yvar]
+                  + [(get(-c) or prefix(-c)) + v for c, v in terms] + gate_terms,
+                  "<=", const + m * k)
+        self.line([(get(-1.0) or prefix(-1.0)) + yvar]
+                  + [(get(c) or prefix(c)) + v for c, v in terms] + gate_terms,
+                  "<=", -const + m * k)
 
     def render(self) -> str:
         out = io.StringIO()
@@ -139,6 +175,7 @@ class _Encoder:
             else:
                 self.labels[i] = [slot.label]
         self.signs: dict[tuple, str] = {}
+        self._ranges: dict[tuple[int, int], tuple[float, float]] = {}
 
     # --- variable helpers ---------------------------------------------------
 
@@ -149,7 +186,11 @@ class _Encoder:
         return f"y_{i}_{t}_{tr}"
 
     def ybound(self, i: int, t: int, n: int) -> tuple[float, float]:
-        return value_range(self.t.heights[i], n - t, self.p)
+        key = (self.t.heights[i], n - t)
+        bound = self._ranges.get(key)
+        if bound is None:
+            bound = self._ranges[key] = value_range(*key, self.p)
+        return bound
 
     def absbound(self, i: int, t: int, n: int) -> float:
         lo, hi = self.ybound(i, t, n)
@@ -211,22 +252,40 @@ class _Encoder:
     # --- scores ------------------------------------------------------------------
 
     def encode_scores(self):
+        e = self.e
         case = self._disc_case if self.p.kind == DISCOUNTED else self._rob_case
         for tr, trace in enumerate(self.sample.traces):
             n = len(trace.states)
             for i in sorted(self.labels):
                 for t in range(n):
                     lo, hi = self.ybound(i, t, n)
-                    self.e.bounds.append(
-                        f"{_fmt(lo)} <= {self.y(i, t, tr)} <= {_fmt(hi)}"
-                    )
+                    e.bounds.append(f"{e.number(lo)} <= {self.y(i, t, tr)} <= {e.number(hi)}")
             for i, labels in sorted(self.labels.items()):
+                literals = [lbl for lbl in labels if lbl not in OPS]
+                if literals:
+                    self._literals(i, literals, tr, trace.states)
                 for lbl in labels:
-                    # right to left, as the kernels scan: a temporal case
-                    # returns the auxiliaries position t-1 reads
-                    nxt = None
-                    for t in range(n - 1, -1, -1):
-                        nxt = case(i, lbl, t, tr, trace, n, nxt)
+                    if lbl in OPS:
+                        # right to left, as the kernels scan: a temporal case
+                        # returns the auxiliaries position t-1 reads
+                        nxt = None
+                        for t in range(n - 1, -1, -1):
+                            nxt = case(i, lbl, t, tr, n, nxt)
+
+    def _literals(self, i, literals, tr, states):
+        """y = v_l wherever literal label l fills slot i: one pair per
+        position, gated on the sum of the slot's literal binaries (see the
+        module docstring)."""
+        e = self.e
+        n = len(states)
+        xs = [self.x(i, lbl) for lbl in literals]
+        values = [literal_values(lbl, states, self.p) for lbl in literals]
+        discounted = self.p.kind == DISCOUNTED
+        for t in range(n):
+            m = 2.0 if discounted else self.absbound(i, t, n) + 1.0
+            yv = self.y(i, t, tr)
+            e.row([(1.0, yv)] + [(m - v[t], x) for v, x in zip(values, xs)], "<=", m)
+            e.row([(-1.0, yv)] + [(m + v[t], x) for v, x in zip(values, xs)], "<=", m)
 
     # discounted cases ---------------------------------------------------------
 
@@ -238,7 +297,7 @@ class _Encoder:
         A single term needs no selector: w equals it.
         """
         e = self.e
-        e.bounds.append(f"{_fmt(-m)} <= {wname} <= {_fmt(m)}")
+        e.bounds.append(f"{e.number(-m)} <= {wname} <= {e.number(m)}")
         if len(terms) == 1:
             e.row([(1.0, wname)] + [(-c, v) for c, v in terms[0]], "=", consts[0])
             return
@@ -254,16 +313,13 @@ class _Encoder:
                 e.row([(1.0, wname)] + [(-c, v) for c, v in term] + [(-m, z)], ">=", const - m)
         e.row([(1.0, z) for z in sel], "=", 1.0)
 
-    def _disc_case(self, i, lbl, t, tr, trace, n, nxt):
+    def _disc_case(self, i, lbl, t, tr, n, nxt):
         e = self.e
         p = self.p
         xv = self.x(i, lbl)
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
         m = 2.0
-        if lbl not in OPS:  # literal
-            e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m)
-            return None
         if lbl == "X":
             if t + 1 < n:
                 e.eq_gated(yv, [(p.alpha, self.y(j, t + 1, tr))], 0.0, [xv], m)
@@ -334,19 +390,16 @@ class _Encoder:
         self.e.eq_gated(name, [(1.0, self.y(child, t, tr))], 0.0, [s], m)
         carry = [(self.p.alpha, r_next)] if r_next else []
         self.e.eq_gated(name, carry, 0.0, [], m, off=[s])
-        self.e.bounds.append(f"0 <= {name} <= {_fmt(hi)}")
+        self.e.bounds.append(f"0 <= {name} <= {self.e.number(hi)}")
         return s, hi
 
-    def _rob_case(self, i, lbl, t, tr, trace, n, nxt):
+    def _rob_case(self, i, lbl, t, tr, n, nxt):
         e = self.e
         p = self.p
         xv = self.x(i, lbl)
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
         m_i = self.absbound(i, t, n) + 1.0
-        if lbl not in OPS:  # literal
-            e.eq_gated(yv, [], literal_values(lbl, trace.states[t : t + 1], p)[0], [xv], m_i)
-            return None
         if lbl == "X":
             if t + 1 >= n:
                 e.eq_gated(yv, [], p.gamma, [xv], m_i)
@@ -406,7 +459,7 @@ class _Encoder:
                 horner.append((-p.alpha, s_next))
                 ok = self._and_gate(f"ok_{i}_{t}_{tr}", [s, ok_next])
             e.row(horner, "=", 0.0)
-            e.bounds.append(f"{_fmt(lo)} <= {s_sum} <= {_fmt(hi)}")
+            e.bounds.append(f"{e.number(lo)} <= {s_sum} <= {e.number(hi)}")
             m = m_i + p.beta * max(-lo, hi)
             e.eq_gated(yv, [(p.beta, s_sum)], 0.0, [xv, ok], m)
             e.eq_gated(yv, [], -p.beta, [xv], m, off=[ok])
@@ -530,36 +583,40 @@ def _parse_lp(text: str):
 
 def lp_optimum(lp_text: str) -> float:
     """Solve the (linear) exported model with scipy's MILP solver and return
-    the optimal objective value. Raises ImportError when scipy is absent."""
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import lil_matrix
-
+    the optimal objective value. Raises UnsupportedForExportError on a model
+    with quadratic rows, scipy or not, and ImportError when scipy is absent."""
     obj, rows, bounds, binaries = _parse_lp(lp_text)
     if any(quad for *_, quad in rows):
         raise UnsupportedForExportError("quadratic rows need a QP solver")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
     names = list(dict.fromkeys(
         [*obj, *(v for coeffs, *_ in rows for v in coeffs), *bounds, *binaries]
     ))
     index = {v: k for k, v in enumerate(names)}
     binset = set(binaries)
-    a = lil_matrix((len(rows), len(names)))
+    data, row_idx, col_idx = [], [], []
     lo = np.full(len(rows), -np.inf)
     hi = np.full(len(rows), np.inf)
     for r, (coeffs, op, rhs, _) in enumerate(rows):
         for v, c in coeffs.items():
-            a[r, index[v]] = c
+            data.append(c)
+            row_idx.append(r)
+            col_idx.append(index[v])
         if op in ("<=", "="):
             hi[r] = rhs
         if op in (">=", "="):
             lo[r] = rhs
+    a = csr_array((data, (row_idx, col_idx)), shape=(len(rows), len(names)))
     var_bounds = [bounds.get(v, (0.0, 1.0 if v in binset else np.inf)) for v in names]
     c = np.zeros(len(names))
     for v, coef in obj.items():
         c[index[v]] = -coef  # maximize
     res = milp(
         c=c,
-        constraints=[LinearConstraint(a.tocsr(), lo, hi)],
+        constraints=[LinearConstraint(a, lo, hi)],
         integrality=np.array([1 if v in binset else 0 for v in names]),
         bounds=Bounds(*zip(*var_bounds)),
     )

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from janaka.errors import UnsupportedForExportError
 from janaka.formulas import PropositionSet, children, format_formula, is_literal
-from janaka.milp import _parse_lp, export_milp, lp_optimum, template_from_lp
+from janaka.milp import _Emitter, _parse_lp, export_milp, lp_optimum, template_from_lp
 from janaka.ops import evaluate, label_code, op_of
 from janaka.repair import enumerate_fillings
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, value_of
@@ -13,9 +15,14 @@ from janaka.traces import Sample, Trace
 
 from gen import random_trace
 
-scipy = pytest.importorskip("scipy")
-np = pytest.importorskip("numpy")
-from scipy import optimize, sparse  # noqa: E402
+try:
+    import numpy as np
+    from scipy import optimize, sparse
+except ImportError:
+    np = optimize = sparse = None
+
+# only the tests that solve a model need scipy; the export itself imports none
+needs_scipy = pytest.mark.skipif(optimize is None, reason="scipy is not installed")
 
 P = PropositionSet(["p"])
 PQ = PropositionSet(["p", "q"])
@@ -66,6 +73,15 @@ class TestExportShape:
         with pytest.raises(UnsupportedForExportError):
             lp_optimum(lp)  # a QP solver's job
 
+    def test_literal_labels_share_one_pair_per_position(self):
+        t = parse_template("G(?<1>)")
+        sample = Sample((Trace(states({"p"}, set(), {"p"})),), P)
+        for params in (disc(), SemanticsParams(kind=ROBUST)):
+            rows = export_milp(t, sample, params, d=2).split("Bounds\n")[0].splitlines()
+            gated = [r for r in rows if "y_2_" in r and "x_2_" in r]
+            assert len(gated) == 2 * 3
+            assert all("x_2_lit_p" in r and "x_2_nlit_p" in r for r in gated)
+
     def test_true_label_unsupported(self):
         t = parse_template("G(true)")
         sample = Sample((Trace(states({"p"})),), P)
@@ -73,6 +89,7 @@ class TestExportShape:
             export_milp(t, sample, disc(), d=2)
 
 
+@needs_scipy
 class TestDiscountedCrossValidation:
     def check(self, template_text, sample, params):
         t = parse_template(template_text)
@@ -144,6 +161,7 @@ class TestTemplateRoundTrip:
         back = {format_formula(f.formula) for f in enumerate_fillings(rebuilt, PQ)}
         assert orig == back
 
+    @needs_scipy
     def test_robust_enumeration_matches_native_optimum(self):
         # the robust model has quadratic rows, so no LP solver reads it; instead
         # enumerate the template rebuilt from the LP, fix the model to each
@@ -173,6 +191,9 @@ class TestTemplateRoundTrip:
 FORCING_TEMPLATES = (
     "G(?<1>)", "F(?<1>)", "X(?<1>)", "(p ? ?<1>)", "(?<1> U ?<1>)", "G((p ? q))",
     "F((p ? ?<1>))",
+    # a hole that admits operators and literals: its literal pair is slack
+    # whenever an operator fills it
+    "X(?<2>)",
 )
 
 
@@ -296,6 +317,7 @@ def forcing_instances(kind, seed):
             yield lp, filling, sample, params
 
 
+@needs_scipy
 class TestForcing:
     """With x fixed to a filling, the rows admit exactly the native scores: the
     native values are feasible, and freeing any one used slot's y, its rows
@@ -313,3 +335,93 @@ class TestForcing:
                 lo, hi = model.extremes(i)
                 assert lo == pytest.approx(want, abs=1e-5), f"slot {i} min {lo}: {where}"
                 assert hi == pytest.approx(want, abs=1e-5), f"slot {i} max {hi}: {where}"
+
+
+# --- row text against the formatting it replaced ----------------------------------
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+class ReferenceEmitter:
+    """`_Emitter.row` and `eq_gated` as they were before row text was built
+    from interned pieces, verbatim."""
+
+    def __init__(self):
+        self.rows: list[str] = []
+        self.quads: list[str] = []
+        self._n = 0
+
+    def row(self, terms: list[tuple[float, str]], op: str, rhs: float, quad=None):
+        self._n += 1
+        parts = []
+        for coef, var in terms:
+            sign = "+" if coef >= 0 else "-"
+            parts.append(f"{sign} {_fmt(abs(coef))} {var}")
+        if quad:
+            qparts = []
+            for coef, va, vb in quad:
+                sign = "+" if coef >= 0 else "-"
+                qparts.append(f"{sign} {_fmt(abs(coef))} {va} * {vb}")
+            parts.append("+ [ " + " ".join(qparts) + " ]")
+        line = f" c{self._n}: " + " ".join(parts) + f" {op} {_fmt(rhs)}"
+        (self.quads if quad else self.rows).append(line)
+
+    def eq_gated(self, yvar: str, terms: list[tuple[float, str]], const: float,
+                 gates: list[str], m: float, off=()):
+        """y = const + sum(terms) whenever every gate binary is 1 and every
+        `off` binary is 0."""
+        k = len(gates)
+        gate_terms = [(m, g) for g in gates] + [(-m, b) for b in off]
+        self.row([(1.0, yvar)] + [(-c, v) for c, v in terms] + gate_terms, "<=", const + m * k)
+        self.row([(-1.0, yvar)] + [(c, v) for c, v in terms] + gate_terms, "<=", -const + m * k)
+
+
+# signed zeros, values that need all 12 significant digits, then any value;
+# integers as `_and_gate`'s right-hand sides are
+NUMBER = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-5, 0.1 + 0.2, 1 / 3, -123456.789012345]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+)
+VAR = st.sampled_from(["y_1_0_0", "x_2_lit_p", "x_2_nlit_q", "s_3_1_0", "w_1_0_0_or"])
+TERMS = st.lists(st.tuples(NUMBER, VAR), max_size=4)
+ROW = st.tuples(
+    st.just("row"), st.lists(st.tuples(NUMBER, VAR), min_size=1, max_size=4),
+    st.sampled_from(["<=", ">=", "="]), NUMBER,
+    st.one_of(st.none(), st.lists(st.tuples(NUMBER, VAR, VAR), min_size=1, max_size=2)),
+)
+EQ_GATED = st.tuples(
+    st.just("eq_gated"), VAR, TERMS, NUMBER, st.lists(VAR, max_size=2), NUMBER,
+    st.lists(VAR, max_size=2),
+)
+
+
+class TestRowText:
+    """One emitter fed a sequence of rows renders each as the reference does,
+    so a value interned by an earlier row (0.0 before -0.0, say) is never
+    handed to a later one that formats differently."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(ROW, EQ_GATED), min_size=1, max_size=8))
+    def test_interned_rows_render_as_the_reference(self, calls):
+        got, want = _Emitter(), ReferenceEmitter()
+        for kind, *args in calls:
+            getattr(got, kind)(*args)
+            getattr(want, kind)(*args)
+        assert got.rows == want.rows
+        assert got.quads == want.quads
+
+    @given(st.lists(NUMBER, min_size=1, max_size=8))
+    def test_numbers_format_as_fmt(self, xs):
+        e = _Emitter()
+        assert [e.number(x) for x in xs] == [_fmt(x) for x in xs]
+
+    def test_signed_zero_rhs(self):
+        e = _Emitter()
+        e.row([(1.0, "y")], "<=", 0.0)
+        e.row([(1.0, "y")], "<=", -0.0)
+        e.row([(-0.0, "y")], "<=", 1.0)
+        assert [r.split(": ", 1)[1] for r in e.rows] == ["+ 1 y <= 0", "+ 1 y <= -0", "+ 0 y <= 1"]
