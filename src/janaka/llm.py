@@ -412,18 +412,29 @@ def request_candidates(
     """Query the provider, extract and validate formulas, re-request on failure.
 
     A response is accepted when it yields at least one formula and no invalid
-    candidate. After retries are exhausted, the valid formulas of the most
-    recent response carrying any are returned; with none at all,
-    NoValidFormulaError is raised.
+    candidate. A rate-limited request is retried too, after sleeping the
+    provider's ``retry_after`` when it gives one. After retries are
+    exhausted, the valid formulas of the most recent response carrying any
+    are returned; with none at all, the last request's RateLimitedError is
+    raised if it was rate-limited, and NoValidFormulaError otherwise.
     """
     messages = bundle.messages()
     latency = 0.0
     fallback: list[Formula] = []
     fallback_raw = ""
-    for _ in range(max_retries + 1):
+    limited: RateLimitedError | None = None
+    for attempt in range(max_retries + 1):
         start = time.perf_counter()
-        text = provider.complete(messages)
+        try:
+            text = provider.complete(messages)
+        except RateLimitedError as exc:
+            latency += time.perf_counter() - start
+            limited = exc
+            if exc.retry_after and attempt < max_retries:
+                time.sleep(exc.retry_after)
+            continue
         latency += time.perf_counter() - start
+        limited = None
         formulas, invalid = extract_candidates(text, bundle.props)
         if formulas and not invalid:
             return CandidateSet(tuple(formulas), text, provider.provider_id, latency)
@@ -431,6 +442,8 @@ def request_candidates(
             fallback, fallback_raw = formulas, text
     if fallback:
         return CandidateSet(tuple(fallback), fallback_raw, provider.provider_id, latency)
+    if limited is not None:
+        raise limited
     raise NoValidFormulaError(
         f"no parseable formula after {max_retries + 1} request(s)"
     )

@@ -80,6 +80,9 @@ class RunConfig:
     def validate(self):
         if not math.isfinite(self.kappa):
             raise ConfigError("kappa must be finite")
+        if self.semantics.kind == DISCOUNTED and self.kappa > 1.0:
+            # discounted fitness lies in [0, 1]: such a mine could only fail
+            raise ConfigError(f"kappa {self.kappa} is above 1, which no discounted fitness reaches")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         if self.top < 1:

@@ -52,15 +52,18 @@ the whole sample, in the layout of :func:`janaka.semantics.flat_layout` (the
 traces' positions concatenated, with each trace's segment): the low and the
 high of the bound, each kept on its own, and the value vector of leaf
 scoring, each made by one kernel call for all traces, and the slot's
-verdict. Each entry carries the slot's stamp at the time it was computed.
-Whenever the label of a hole differs from the one the table last saw, the
-stamps of that hole and of every ancestor (``i, i >> 1, ..., 1``) go up, so
-exactly the entries whose subtree changed are recomputed, in whatever order
-assignments arrive. A slot whose parent's operator flips keeps its stamp:
-the endpoint it holds is served and only a missing one is computed. Fixed
-subtrees, literal vectors and the value ranges of open holes are computed
-once per table. The bound and the leaf score sum the root's entry at the
-trace starts in trace order and divide by the trace count, as
+interned id. The enumeration pushes every label a hole takes, and the "?" it
+returns to on backtracking, to the table (:meth:`_SlotTable.set`); a label
+that differs from the hole's last one drops the entries of that hole and of
+every ancestor (``i, i >> 1, ..., 1``), so exactly the entries whose subtree
+changed are recomputed, when they are next read. A slot whose parent's
+operator flips keeps its entries: the endpoint it holds is served and only
+a missing one is computed. Value vectors are also kept per id: equal ids
+are equal formulas, so a non-root slot whose id already has a vector takes
+it and calls no kernel (the root's ids rarely repeat and are not kept).
+Fixed subtrees, literal vectors and the value ranges of open holes are
+computed once per table. The bound and the leaf score sum the root's entry
+at the trace starts in trace order and divide by the trace count, as
 :func:`janaka.semantics.sample_fitness` does, so leaf scores equal it bit for
 bit.
 
@@ -72,6 +75,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -158,21 +162,24 @@ class SearchBudget:
 class SearchStats:
     """What one repair call's search did, summed over its templates.
 
-    ``slot_recomputed`` and ``slot_hits`` count slot-table entries computed
-    and served by their stamp; each endpoint of the bound (a slot's low or
-    its high), each value vector and each verdict counts once.
+    ``slot_recomputed`` counts the slot table's kernel calls: each endpoint
+    of the bound (a slot's low or its high) and each value vector computed
+    by an operator's kernel. ``slot_hits`` counts the endpoints and value
+    vectors served as a slot still held them, and ``value_shared`` the value
+    vectors served by their subtree's id from the memo, with no kernel call.
     ``cut_by_rule`` and ``rejected_by_rule`` split ``cut_closed`` and
     ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`)."""
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
     cut_closed: int = 0  # branches abandoned when a closed subtree's verdict is trivial
-    rejected_trivial: int = 0  # leaves whose stamped verdict is trivial
+    rejected_trivial: int = 0  # leaves whose verdict is trivial
     scored: int = 0  # leaves scored; equals RepairOutcome.explored
     bound_calls: int = 0
     prunes: int = 0  # bound calls that abandoned a branch
-    slot_recomputed: int = 0  # slot-table entries computed
-    slot_hits: int = 0  # slot-table entries served by their stamp
+    slot_recomputed: int = 0  # kernel calls of the slot tables
+    slot_hits: int = 0  # slot-table entries served as held
+    value_shared: int = 0  # value vectors served by id, no kernel call
     stop: str = EXHAUSTED  # exhausted | time | nodes
     cut_by_rule: dict[str, int] = field(default_factory=_per_rule)
     rejected_by_rule: dict[str, int] = field(default_factory=_per_rule)
@@ -193,8 +200,7 @@ class RepairOutcome:
 
 
 class _View:
-    """A template compiled for the enumeration (module docstring), and the
-    per-slot table of the sample and parameters last asked for.
+    """A template compiled for the enumeration (module docstring).
 
     ``steps`` holds, per hole in index order, ``(slot, parent, offer,
     unused)``. When the parent slot is a hole, ``offer`` maps its label to
@@ -267,44 +273,45 @@ class _View:
                 self.steps.append((i, i >> 1, by_label, unused))
             else:
                 self.steps.append((i, 0, offer(getattr(parent, "label", None)), unused))
-        self._table: _SlotTable | None = None
-
-    def table(self, sample: Sample, p: SemanticsParams) -> "_SlotTable":
-        """The per-slot table of this sample and these parameters; a table
-        built for another sample or parameters is replaced, never reused."""
-        t = self._table
-        if t is None or t.sample is not sample or t.params != p:
-            t = self._table = _SlotTable(self.template, sample, p)
-        return t
 
 
 class _SlotTable:
-    """Per-slot bound endpoints, values and verdicts of one template over one
-    sample under one set of parameters, recomputed only where a hole label
-    below the slot changed (module docstring). Without a sample it decodes
-    formulas and verdicts only. ``recomputed`` and ``hits`` count the entries
-    computed and those served by their stamp: each endpoint, value vector and
-    verdict once."""
+    """Per-slot bound endpoints, value vectors and verdict ids of one template
+    over one sample under one set of parameters (module docstring). Holes get
+    their labels through :meth:`set`, which drops the entries of the hole and
+    of its ancestors; :meth:`bound`, :meth:`fitness` and :meth:`verdict` read
+    the labels as they stand. Without a sample it decodes formulas and
+    verdicts only.
+
+    ``recomputed`` counts kernel calls: a slot's value vector or endpoint
+    computed by its operator's kernel (leaves are read from the per-table
+    literal and open-range caches). ``hits`` counts value vectors and
+    endpoints served as the slot still held them, and ``shared`` the value
+    vectors of non-root slots served by their id from the memo."""
 
     def __init__(self, template: Template, sample: Sample | None = None,
                  p: SemanticsParams | None = None):
-        self.sample, self.params = sample, p
+        self.params = p
         self.states, self.segments = flat_layout(sample.traces) if sample is not None else ([], [])
         self.starts = [start for start, _ in self.segments]
         self.heights = template.heights
         self.holes = template.hole_indices
-        # an unresolved hole is "?", an unused one None
-        self.label = {
-            i: slot.label if isinstance(slot, Fixed) else "?"
-            for i, slot in template.slots
-        }
-        self.stamp = dict.fromkeys(self.label, 0)
-        self._bounds: dict = {}  # slot -> [stamp, low, high], None where not computed
-        self._values: dict = {}
-        self._verdicts: dict = {}
+        size = max(template.slot_map, default=0) + 1
+        # per slot index: an unresolved hole is "?", an unused one None
+        self.label: list = [None] * size
+        for i, slot in template.slots:
+            self.label[i] = slot.label if isinstance(slot, Fixed) else "?"
+        # per hole, the slots whose subtree holds it: i, i >> 1, ..., 1
+        self._paths = {i: tuple(i >> k for k in range(i.bit_length())) for i in self.holes}
+        # per slot: the bound's low and high, the value vector and the id
+        self._lows: list = [None] * size
+        self._highs: list = [None] * size
+        self._values: list = [None] * size
+        self._vids: list = [None] * size
+        self._memo: dict[int, array] = {}  # non-root value vectors by id
         self._literals: dict = {}
         self._ranges: dict = {}
-        # interned verdicts: a literal's key is its label, an operator node's
+        # interned ids: a literal's key is its label, an operator node's
         # (label, *child ids); per id its key, whether its formula has no
         # temporal operator, and the triviality rule that fired (or None)
         self._ids: dict = {}
@@ -313,60 +320,62 @@ class _SlotTable:
         self._rules: list[str | None] = []
         self._tautologies: dict[int, bool] = {}
         self._formulas: dict[int, Formula] = {}
-        self.recomputed = self.hits = 0  # entries recomputed / served by their stamp
+        self.recomputed = self.hits = self.shared = 0
 
-    def _sync(self, assignment) -> None:
-        label, stamp = self.label, self.stamp
-        for i in self.holes:
-            new = assignment.get(i, "?")
-            if label[i] != new:
-                label[i] = new
-                while i:
-                    stamp[i] += 1
-                    i >>= 1
-
-    def _entry(self, cache, leaf, combine, i):
-        """Slot i's cached entry, recomputed from its children's when the
-        stamp moved; unused slots are never reached."""
-        stamp = self.stamp[i]
-        hit = cache.get(i)
-        if hit is not None and hit[0] == stamp:
-            self.hits += 1
-            return hit[1]
-        self.recomputed += 1
-        label = self.label[i]
-        op = OPS.get(label)
-        if op is None:
-            out = leaf(label, i)
-        else:
-            out = combine(op, *[self._entry(cache, leaf, combine, 2 * i + k)
-                                for k in range(op.arity)])
-        cache[i] = (stamp, out)
-        return out
+    def set(self, i: int, label: str | None) -> None:
+        """Give hole i a label ("?" unresolved, None unused); a new label
+        drops the entries of i and of every ancestor."""
+        if self.label[i] == label:
+            return
+        self.label[i] = label
+        lows, highs, values, vids = self._lows, self._highs, self._values, self._vids
+        for j in self._paths[i]:
+            lows[j] = highs[j] = values[j] = vids[j] = None
 
     def _endpoint(self, i, high: bool):
         """Slot i's low (high=False) or high, from the endpoints of its
-        children that its operator reads (:meth:`janaka.ops.Op.endpoint`);
-        the other endpoint of the same stamp is kept, not recomputed."""
-        stamp = self.stamp[i]
-        entry = self._bounds.get(i)
-        if entry is None or entry[0] != stamp:
-            entry = self._bounds[i] = [stamp, None, None]
-        out = entry[1 + high]
+        children that its operator reads (:meth:`janaka.ops.Op.endpoint`)."""
+        entries = self._highs if high else self._lows
+        out = entries[i]
         if out is not None:
             self.hits += 1
             return out
-        self.recomputed += 1
         label = self.label[i]
         op = OPS.get(label)
         if op is None:
             out = self._open(self.heights[i])[high] if label == "?" else self._literal(label)
         else:
+            self.recomputed += 1
             p = self.params
             kernel, reads = op.endpoint(p.kind, high)
             out = kernel(p, *[self._endpoint(2 * i + k, h) for k, h in reads],
                          segments=self.segments)
-        entry[1 + high] = out
+        entries[i] = out
+        return out
+
+    def _value(self, i):
+        """Slot i's value vector; a non-root slot whose id has one in the
+        memo takes it, and calls no kernel."""
+        out = self._values[i]
+        if out is not None:
+            self.hits += 1
+            return out
+        label = self.label[i]
+        op = OPS.get(label)
+        if op is None:
+            if label == "?":
+                raise ValueError(f"slot {i} is unassigned")
+            out = self._literal(label)
+        elif i > 1 and (out := self._memo.get(self._id(i))) is not None:
+            self.shared += 1
+        else:
+            self.recomputed += 1
+            p = self.params
+            out = getattr(op, p.kind)(p, *[self._value(2 * i + k) for k in range(op.arity)],
+                                      segments=self.segments)
+            if i > 1:
+                self._memo[self._vids[i]] = array("d", out)
+        self._values[i] = out
         return out
 
     def _literal(self, label: str):
@@ -385,14 +394,23 @@ class _SlotTable:
             out = self._ranges[height] = ([lo for lo, _ in ranges], [hi for _, hi in ranges])
         return out
 
-    def _value_leaf(self, label, i):
-        if label == "?":
-            raise ValueError(f"slot {i} is unassigned")
-        return self._literal(label)
-
-    def _value_combine(self, op, *kids):
-        p = self.params
-        return getattr(op, p.kind)(p, *kids, segments=self.segments)
+    def _id(self, i) -> int:
+        """Slot i's interned id, every hole below which is decided."""
+        vid = self._vids[i]
+        if vid is not None:
+            return vid
+        label = self.label[i]
+        op = OPS.get(label)
+        if op is None:
+            if label == "?":
+                raise ValueError(f"slot {i} is unassigned")
+            vid = self._ids.get(label)
+            if vid is None:
+                vid = self._intern(label, True, None)
+        else:
+            vid = self._node_id(op, [self._id(2 * i + k) for k in range(op.arity)])
+        self._vids[i] = vid
+        return vid
 
     def _intern(self, key, propositional: bool, rule: str | None) -> int:
         vid = self._ids[key] = len(self._keys)
@@ -401,13 +419,7 @@ class _SlotTable:
         self._rules.append(rule)
         return vid
 
-    def _verdict_leaf(self, label, i):
-        if label == "?":
-            raise ValueError(f"slot {i} is unassigned")
-        vid = self._ids.get(label)
-        return self._intern(label, True, None) if vid is None else vid
-
-    def _verdict_combine(self, op, *kids):
+    def _node_id(self, op, kids) -> int:
         """The id of the node over its children's ids, judged once per id by
         the closed-subtree rules of :func:`triviality_filter`; GG and FF are
         the enumeration's cut."""
@@ -441,30 +453,28 @@ class _SlotTable:
             out = self._tautologies[vid] = _tautology(self.decode(vid))
         return out
 
-    def bound(self, assignment) -> float:
+    def bound(self) -> float:
         """Mean over the traces of the root's high at each trace start."""
-        self._sync(assignment)
         highs = self._endpoint(1, True)
         total = 0.0
         for start in self.starts:
             total += highs[start]
         return total / len(self.starts)
 
-    def fitness(self, assignment) -> float:
-        """sample_fitness of the complete assignment's formula."""
-        self._sync(assignment)
-        vals = self._entry(self._values, self._value_leaf, self._value_combine, 1)
+    def fitness(self) -> float:
+        """sample_fitness of the formula of the labels as they stand, every
+        hole of which must be decided."""
+        vals = self._value(1)
         total = 0.0
         for start in self.starts:
             total += vals[start]
         return total / len(self.starts)
 
-    def verdict(self, assignment, i: int = 1) -> int:
-        """The interned id of slot i's subtree, every hole of which the
-        assignment decides (the root's: a complete assignment). Equal ids
-        are equal formulas; :meth:`rule` and :meth:`decode` read an id."""
-        self._sync(assignment)
-        return self._entry(self._verdicts, self._verdict_leaf, self._verdict_combine, i)
+    def verdict(self, i: int = 1) -> int:
+        """The interned id of slot i's subtree, every hole of which is
+        decided (the root's: the whole formula). Equal ids are equal
+        formulas; :meth:`rule` and :meth:`decode` read an id."""
+        return self._id(i)
 
     def rule(self, vid: int) -> str | None:
         """The closed-subtree rule that makes the id's formula trivial, or
@@ -484,9 +494,9 @@ class _SlotTable:
             self._formulas[vid] = out
         return out
 
-    def formula(self, assignment) -> Formula:
-        """The formula of a complete assignment."""
-        return self.decode(self.verdict(assignment))
+    def formula(self) -> Formula:
+        """The formula of the labels as they stand, every hole decided."""
+        return self.decode(self._id(1))
 
 
 def _offered(step, assignment, stats):
@@ -501,14 +511,17 @@ def _offered(step, assignment, stats):
 _DONE = object()
 
 
-def _assignments(view: _View, prune=None, stats: SearchStats | None = None):
+def _assignments(view: _View, table: _SlotTable, prune=None,
+                 stats: SearchStats | None = None):
     """Yield complete hole assignments in enumeration order (module
     docstring), None marking an unused hole. The same dict is yielded every
-    time, updated in place: read it before resuming.
+    time, updated in place: read it before resuming. Every label a hole
+    takes, and its "?" on backtracking, is pushed to the table
+    (:meth:`_SlotTable.set`), so the table holds the yielded assignment.
 
-    ``prune(assignment, h)`` is consulted right after the h-th hole (in index
-    order) gets a label; returning True abandons that branch. The labels the
-    GG/FF cut withholds are counted in ``stats.cut_trivial``.
+    ``prune(h)`` is consulted right after the h-th hole (in index order) gets
+    a label; returning True abandons that branch. The labels the GG/FF cut
+    withholds are counted in ``stats.cut_trivial``.
     """
     if view.dead:
         return
@@ -518,6 +531,7 @@ def _assignments(view: _View, prune=None, stats: SearchStats | None = None):
         yield assignment
         return
     last = len(steps) - 1
+    set_label = table.set
     stack = [_offered(steps[0], assignment, stats)]  # per decided hole, its labels left
     while stack:
         h = len(stack) - 1
@@ -525,10 +539,12 @@ def _assignments(view: _View, prune=None, stats: SearchStats | None = None):
         label = next(stack[h], _DONE)
         if label is _DONE:
             assignment.pop(slot, None)
+            set_label(slot, "?")
             stack.pop()
             continue
         assignment[slot] = label
-        if label is not None and prune is not None and prune(assignment, h):
+        set_label(slot, label)
+        if label is not None and prune is not None and prune(h):
             continue
         if h < last:
             stack.append(_offered(steps[h + 1], assignment, stats))
@@ -542,9 +558,9 @@ def enumerate_fillings(template: Template, props: PropositionSet):
     exactly its source formula."""
     view = _View(template, props, cut=False)
     table = _SlotTable(template)
-    for assignment in _assignments(view):
+    for assignment in _assignments(view, table):
         holes = tuple((i, assignment[i]) for i in sorted(assignment))
-        yield Filling(holes, table.formula(assignment))
+        yield Filling(holes, table.formula())
 
 
 # --- triviality filter ----------------------------------------------------------
@@ -589,7 +605,7 @@ def triviality_filter(f: Formula) -> bool:
     tautology.
 
     This is the reference definition: the search's choice-time GG/FF cut and
-    its stamped verdicts must reject exactly the fillings this rejects, and
+    its per-slot verdicts must reject exactly the fillings this rejects, and
     the tests hold them to it. The search never calls it; it stays public
     for the benchmark's brute-force optimum and for the tests."""
     return _degenerate(f)[0]
@@ -598,10 +614,10 @@ def triviality_filter(f: Formula) -> bool:
 # --- admissible interval bound ---------------------------------------------------
 
 
-def bound_mean_fitness(view: _View, assignment, sample: Sample, p: SemanticsParams) -> float:
+def bound_mean_fitness(table: _SlotTable) -> float:
     """Admissible upper bound on the mean fitness of any completion of the
-    partial assignment (each trace maximized independently)."""
-    return view.table(sample, p).bound(assignment)
+    table's holes as they stand (each trace maximized independently)."""
+    return table.bound()
 
 
 # --- the search -------------------------------------------------------------------
@@ -657,17 +673,17 @@ def repair(
 
     for template in templates:
         view = _View(template, sample.props)
-        table = view.table(sample, params)
+        table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
         closing = view.closing
 
-        def prune(assignment, h):
+        def prune(h):
             if time.monotonic() > deadline:
                 raise _Stop(TIME)
             # a trivial subtree makes every leaf below the branch trivial
             closed = closing[h]
             if closed:
-                rule = table.rule(table.verdict(assignment, closed))
+                rule = table.rule(table.verdict(closed))
                 if rule is not None:
                     stats.cut_closed += 1
                     stats.cut_by_rule[rule] += 1
@@ -675,26 +691,26 @@ def repair(
             if best is None or h == last:
                 return False
             stats.bound_calls += 1
-            if bound_mean_fitness(view, assignment, sample, params) < best_fit:
+            if bound_mean_fitness(table) < best_fit:
                 stats.prunes += 1
                 return True
             return False
 
         try:
-            for assignment in _assignments(view, prune, stats):
+            for assignment in _assignments(view, table, prune, stats):
                 if time.monotonic() > deadline:
                     raise _Stop(TIME)
                 if stats.scored >= budget.node_limit:
                     raise _Stop(NODES)
                 stats.leaves += 1
-                vid = table.verdict(assignment)
+                vid = table.verdict()
                 rule = table.rule(vid)
                 if rule is not None:
                     stats.rejected_trivial += 1
                     stats.rejected_by_rule[rule] += 1
                     continue
                 stats.scored += 1
-                fit = table.fitness(assignment)
+                fit = table.fitness()
                 if not (fit > best_fit or (fit == best_fit and best is not None)):
                     continue
                 # the formula and its tie-break key only for leaves that can
@@ -714,6 +730,7 @@ def repair(
             stats.stop = stop.args[0]
         stats.slot_recomputed += table.recomputed
         stats.slot_hits += table.hits
+        stats.value_shared += table.shared
         if stats.stop != EXHAUSTED:
             break
 

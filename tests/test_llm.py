@@ -2,7 +2,8 @@ import threading
 
 import pytest
 
-from janaka.errors import AuthMissingError, NoValidFormulaError
+from janaka import llm as llm_mod
+from janaka.errors import AuthMissingError, NoValidFormulaError, RateLimitedError
 from janaka.formulas import (
     And,
     Atom,
@@ -130,6 +131,23 @@ class TestExtraction:
 FIVE = "```\nG(p)\nF(q)\nG(p -> F(q))\np U q\nF(p & q)\n```"
 
 
+class ScriptedProvider:
+    """Answers in turn from a script; an exception in it is raised."""
+
+    provider_id = "scripted"
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.calls = 0
+
+    def complete(self, messages, temperature=None):
+        out = self.script[self.calls]
+        self.calls += 1
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
 class TestRequestCandidates:
     def test_clean_response(self):
         provider = MockChatProvider([FIVE])
@@ -161,6 +179,40 @@ class TestRequestCandidates:
         with pytest.raises(NoValidFormulaError):
             request_candidates(provider, bundle, max_retries=2)
         assert provider.calls == 3
+
+    def test_rate_limit_is_retried_after_its_retry_after(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = ScriptedProvider([RateLimitedError("busy", retry_after=2.5),
+                                     RateLimitedError("busy"), FIVE])
+        cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                                   max_retries=2)
+        assert len(cands.formulas) == 5
+        assert provider.calls == 3
+        assert slept == [2.5]  # no Retry-After, no sleep
+
+    def test_rate_limit_raises_once_retries_are_used_up(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = ScriptedProvider([RateLimitedError("busy", retry_after=1.0)] * 3)
+        with pytest.raises(RateLimitedError):
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                               max_retries=2)
+        assert provider.calls == 3
+        assert slept == [1.0, 1.0]  # none after the last request
+
+    def test_rate_limit_after_a_partial_response_keeps_it(self, monkeypatch):
+        monkeypatch.setattr(llm_mod.time, "sleep", lambda s: None)
+        partial = "```\nG(p)\nF(q)\nF(p &&& q)\n```"
+        provider = ScriptedProvider([partial, RateLimitedError("busy")])
+        cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                                   max_retries=1)
+        assert len(cands.formulas) == 2
+        # a later answer without formulas is no rate limit
+        provider = ScriptedProvider([RateLimitedError("busy"), "no formulas here."])
+        with pytest.raises(NoValidFormulaError):
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                               max_retries=1)
 
     def test_mock_round_robin_thread_safety(self):
         provider = MockChatProvider(["a", "b", "c"])

@@ -1,13 +1,17 @@
+import ast
 import configparser
 import dataclasses
 import shutil
 from pathlib import Path
 
-from janaka import pipeline
+import pytest
+
+from janaka import cli, pipeline
+from janaka.errors import ConfigError
 from janaka.formulas import PropositionSet, parse_formula
 from janaka.llm import MockChatProvider
 from janaka.repair import Filling, RepairOutcome, SearchBudget, repair
-from janaka.semantics import ROBUST, SemanticsParams, sample_fitness, value_of
+from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, value_of
 from janaka.traces import Sample, Trace
 
 PQ = PropositionSet(["p", "q"])
@@ -167,3 +171,42 @@ class TestSearchStats:
         assert stats.stop == "exhausted" and not outcome.budget_expired
         [report] = reports
         assert report.to_dict()["repair"]["stats"] == dataclasses.asdict(stats)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def long_traces_settings():
+    """The long-traces workload's (name, ground truth, case, semantics,
+    kappa) rows, read from perfbench/workloads.py without importing it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    [rows] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == ["LONG_TRACES"]]
+    return ast.literal_eval(rows)
+
+
+class TestUnreachableKappa:
+    """Discounted fitness lies in [0, 1]: a discounted kappa above 1 could
+    only exhaust the search and report failed, so it is refused."""
+
+    def test_discounted_kappa_above_one_is_refused(self):
+        with pytest.raises(ConfigError, match="kappa"):
+            pipeline.RunConfig(semantics=SemanticsParams(kind=DISCOUNTED), kappa=1.5).validate()
+        pipeline.RunConfig(semantics=SemanticsParams(kind=DISCOUNTED), kappa=1.0).validate()
+        pipeline.RunConfig(semantics=SemanticsParams(kind=ROBUST), kappa=3.0).validate()
+
+    def test_mine_exits_with_the_config_error_code(self, capsys):
+        assert cli.main(["mine", "--semantics", "discounted", "--kappa", "1.5"]) == 17
+        assert "kappa" in capsys.readouterr().err
+
+    def test_no_bundled_case_or_workload_is_refused(self):
+        settings = []
+        for ini in sorted(TABLE1.glob("*/case.ini")):
+            parser = configparser.ConfigParser()
+            parser.read(ini)
+            settings.append((parser["case"]["semantics"], float(parser["case"]["kappa"])))
+        assert len(settings) == 5
+        settings += [(kind, kappa) for _, _, _, kind, kappa in long_traces_settings()]
+        assert DISCOUNTED in {kind for kind, _ in settings}
+        for kind, kappa in settings:
+            pipeline.RunConfig(semantics=SemanticsParams(kind=kind), kappa=kappa).validate()

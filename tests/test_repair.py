@@ -60,6 +60,23 @@ def all_p_sample(n_traces=3, length=3, props=PropositionSet(["p"])):
     return Sample((t,) * n_traces, props)
 
 
+def walk(template, props=PQ, **kwargs):
+    """The search's enumeration of a template, pushing to a table without a
+    sample."""
+    return _assignments(_View(template, props), _SlotTable(template), **kwargs)
+
+
+def apply(table, assignment):
+    """Set every hole of the table from an assignment; "?" where it has none."""
+    for i in table.holes:
+        table.set(i, assignment.get(i, "?"))
+
+
+def bound_at(table, assignment):
+    apply(table, assignment)
+    return bound_mean_fitness(table)
+
+
 class TestEnumerate:
     def test_leaf_hole_yields_literals(self):
         t = parse_template("G(?<1>)")
@@ -97,13 +114,13 @@ class TestEnumerate:
         # G over a fixed G; enumerate_fillings keeps every filling
         stats = SearchStats()
         over = parse_template("?{G,F}(G(?<1>))")
-        assert [a[1] for a in _assignments(_View(over, PQ), stats=stats)] == ["F"] * 4
+        assert [a[1] for a in walk(over, stats=stats)] == ["F"] * 4
         assert stats.cut_trivial == 1
         assert len(list(enumerate_fillings(over, PQ))) == 8
         under = parse_template("G(?{G,F,X}(p))")
-        assert [a[2] for a in _assignments(_View(under, PQ))] == ["F", "X"]
+        assert [a[2] for a in walk(under)] == ["F", "X"]
         fixed = parse_template("G(G(?<1>))")
-        assert list(_assignments(_View(fixed, PQ))) == []
+        assert list(walk(fixed)) == []
         assert len(list(enumerate_fillings(fixed, PQ))) == 4
 
     def test_assignment_recorded(self):
@@ -251,9 +268,9 @@ class TestRepair:
         scored = []
         fitness = _SlotTable.fitness
 
-        def spy(table, assignment):
-            scored.append(table.formula(assignment))
-            return fitness(table, assignment)
+        def spy(table):
+            scored.append(table.formula())
+            return fitness(table)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(repair_module, "bound_mean_fitness", lambda *args: float("inf"))
@@ -284,11 +301,11 @@ class TestRepair:
             gamma=0.1,
             kind=rng.choice([ROBUST, DISCOUNTED]),
         )
-        view = _View(template, PQ)
+        table = _SlotTable(template, sample, params)
         fillings = list(enumerate_fillings(template, PQ))
         # bounds dominate in floats exactly: no slack
         # bound at the empty partial dominates every completion
-        root_bound = bound_mean_fitness(view, {}, sample, params)
+        root_bound = bound_at(table, {})
         for filling in fillings:
             fit = sample_fitness(filling.formula, sample, params)
             assert root_bound >= fit
@@ -296,14 +313,14 @@ class TestRepair:
         first = template.hole_indices[0]
         for label in {dict(f_.assignment)[first] for f_ in fillings}:
             partial = {first: label}
-            bnd = bound_mean_fitness(view, partial, sample, params)
+            bnd = bound_at(table, partial)
             for filling in fillings:
                 if dict(filling.assignment)[first] == label:
                     fit = sample_fitness(filling.formula, sample, params)
                     assert bnd >= fit
         # on a complete assignment the discounted bound is the fitness itself
         for filling in fillings:
-            bnd = bound_mean_fitness(view, dict(filling.assignment), sample, params)
+            bnd = bound_at(table, dict(filling.assignment))
             fit = sample_fitness(filling.formula, sample, params)
             if params.kind == DISCOUNTED:
                 assert bnd == fit
@@ -400,17 +417,15 @@ class TestSlotTables:
             partial.append({i: a[i] for i in holes[:cut]})
             partial.append({i: a[i] for i in holes if rng.random() < 0.5})
         queries = complete + partial
+        table = _SlotTable(template, sample, params)
         # out of search order, with revisits
         for _ in range(3 * len(queries)):
             a = rng.choice(queries)
-            assert bound_mean_fitness(view, a, sample, params) == reference_bound(
-                view, a, sample, params
-            )
+            assert bound_at(table, a) == reference_bound(view, a, sample, params)
             if len(a) == len(holes):
-                table = view.table(sample, params)
-                formula = table.formula(a)
+                formula = table.formula()
                 assert formula == _decode(view.m, a)
-                assert table.fitness(a) == sample_fitness(formula, sample, params)
+                assert table.fitness() == sample_fitness(formula, sample, params)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
@@ -418,7 +433,7 @@ class TestSlotTables:
     def test_stamped_verdict_equals_filter(self, seed, kind, strategy):
         # every leaf the search reaches (GG/FF already cut), queried out of
         # order and with revisits, between bound and fitness queries that
-        # move the same stamps
+        # drop the same entries
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         [template] = make_templates(
@@ -429,8 +444,8 @@ class TestSlotTables:
             return
         sample, params = random_sample(rng, props), random_params(rng, kind)
         view = _View(template, props)
-        table = view.table(sample, params)
-        leaves = [dict(a) for a in itertools.islice(_assignments(view), 2000)]
+        table = _SlotTable(template, sample, params)
+        leaves = [dict(a) for a in itertools.islice(walk(template, props), 2000)]
         if not leaves:
             return
         queries = rng.sample(leaves, min(60, len(leaves)))
@@ -439,9 +454,9 @@ class TestSlotTables:
         for _ in range(3 * len(queries)):
             a = rng.choice(queries)
             if rng.random() < 0.3:
-                bound_mean_fitness(view, {i: a[i] for i in holes if rng.random() < 0.5},
-                                   sample, params)
-            vid = table.verdict(a)
+                bound_at(table, {i: a[i] for i in holes if rng.random() < 0.5})
+            apply(table, a)
+            vid = table.verdict()
             formula = table.decode(vid)
             assert formula == _decode(view.m, a)
             assert (table.rule(vid) is not None) == triviality_filter(formula)
@@ -449,11 +464,13 @@ class TestSlotTables:
             assert formulas.setdefault(vid, formula) == formula
             assert ids.setdefault(formula, vid) == vid
             if rng.random() < 0.3:
-                assert table.fitness(a) == sample_fitness(formula, sample, params)
+                assert table.fitness() == sample_fitness(formula, sample, params)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 9))
-    def test_view_reused_with_another_sample_or_params(self, seed):
+    def test_tables_of_other_samples_or_params_share_nothing(self, seed):
+        # one view, one table per sample and parameters, queried in turn:
+        # no table serves another's entries or memoised values
         rng = random.Random(seed)
         props = PropositionSet(["p", "q"])
         f = random_formula(rng, depth=3, atoms=list(props), mode="nnf")
@@ -474,61 +491,96 @@ class TestSlotTables:
             (first[0], random_params(rng, ROBUST if kind == DISCOUNTED else DISCOUNTED)),
             first,  # and back
         ]
+        tables = [_SlotTable(template, sample, params) for sample, params in contexts[:4]]
+        tables.append(tables[0])
         for a in rng.sample(fillings, min(8, len(fillings))):
-            for sample, params in contexts:
-                assert bound_mean_fitness(view, a, sample, params) == reference_bound(
-                    view, a, sample, params
-                )
-                table = view.table(sample, params)
-                assert table.sample is sample and table.params == params
-                assert table.fitness(a) == sample_fitness(table.formula(a), sample, params)
+            for (sample, params), table in zip(contexts, tables):
+                assert bound_at(table, a) == reference_bound(view, a, sample, params)
+                assert table.fitness() == sample_fitness(table.formula(), sample, params)
 
     def test_counters_split_recomputed_from_stamped_entries(self):
-        # G at slot 1, -> at 2, holes at 4 and 5
+        # G at slot 1, -> at 2, holes at 4 and 5. recomputed counts kernel
+        # calls, hits the entries a slot still held, shared the value vectors
+        # served by id; leaves come from the table's caches and count in none
         template = parse_template("G((?<1> -> ?<1>))")
         sample = Sample((Trace(states({"p"}, {"q"})), Trace(states({"q"}))), PQ)
         table = _SlotTable(template, sample, SemanticsParams(kind=ROBUST))
-        table.fitness({4: "p", 5: "q"})
-        assert (table.recomputed, table.hits) == (4, 0)
-        table.fitness({4: "p", 5: "q"})
-        assert (table.recomputed, table.hits) == (4, 1)  # the root's entry
-        table.fitness({4: "p", 5: "!q"})
-        assert (table.recomputed, table.hits) == (7, 2)  # 5, 2 and 1; 4 is served
-        table.verdict({4: "p", 5: "!q"})
-        assert (table.recomputed, table.hits) == (11, 2)  # another table's entries
-        # the bound: the root's high, ->'s high, 4's low and 5's high
-        table.bound({4: "p", 5: "!q"})
-        assert (table.recomputed, table.hits) == (15, 2)
-        table.bound({4: "p"})
-        assert (table.recomputed, table.hits) == (18, 3)  # 5, 2 and 1; 4's low is served
+
+        def counts():
+            return table.recomputed, table.hits, table.shared
+
+        apply(table, {4: "p", 5: "q"})
+        table.fitness()
+        assert counts() == (2, 0, 0)  # the values of 2 and 1
+        table.fitness()
+        assert counts() == (2, 1, 0)  # the root's value is held
+        apply(table, {4: "p", 5: "!q"})
+        table.fitness()
+        assert counts() == (4, 2, 0)  # 2 and 1 again; 4's value is held
+        apply(table, {4: "p", 5: "q"})
+        table.fitness()
+        assert counts() == (5, 2, 1)  # 2's id (p -> q) has a value: the root's only
+        table.verdict()
+        assert counts() == (5, 2, 1)  # ids are no kernel calls
+        # the bound: the root's high and ->'s high, over 4's low and 5's high
+        table.bound()
+        assert counts() == (7, 2, 1)
+        apply(table, {4: "p"})
+        table.bound()
+        assert counts() == (9, 3, 1)  # 2 and 1 again; 4's low is held
         stats = repair(sample, [template], SemanticsParams(kind=ROBUST), kappa=0.0).stats
         assert stats.slot_recomputed > 0 and stats.slot_hits > 0
 
+    def test_value_shared_counted_by_hand(self):
+        # (X(a) | X(b)) over p: of the four leaves, (X(p) | X(p)) and
+        # (X(!p) | X(!p)) are rejected unscored; (X(p) | X(!p)) computes the
+        # values of 2, 3 and the root, and (X(!p) | X(p)) finds both X
+        # subtrees' ids in the memo and computes the root's only
+        template = parse_template("(X(?<1>) | X(?<1>))")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repair_module, "bound_mean_fitness", lambda *args: float("inf"))
+            out = repair(all_p_sample(), [template], SemanticsParams(kind=ROBUST), kappa=0.0)
+        stats = out.stats
+        assert (stats.leaves, stats.scored, stats.bound_calls) == (4, 2, 1)
+        assert (stats.slot_recomputed, stats.value_shared, stats.slot_hits) == (4, 2, 0)
+
     @pytest.mark.parametrize("kind", [ROBUST, DISCOUNTED])
     def test_an_operator_flip_computes_the_missing_endpoint_only(self, kind):
-        # a binary hole over q at 2 and p at 3
-        table = _SlotTable(parse_template("(q ? p)"), all_p_sample(props=PQ),
+        # a binary hole over X(q) at 2 and X(p) at 3
+        table = _SlotTable(parse_template("(X(q) ? X(p))"), all_p_sample(props=PQ),
                            SemanticsParams(kind=kind))
-        table.bound({1: "&"})
+        table.set(1, "&")
+        table.bound()
         assert (table.recomputed, table.hits) == (3, 0)  # the highs of 1, 2 and 3
-        table.bound({1: "->"})
+        table.set(1, "->")
+        table.bound()
         assert (table.recomputed, table.hits) == (5, 1)  # 1's high and 2's low
-        table.bound({1: "&"})
-        assert (table.recomputed, table.hits) == (6, 3)  # 1's high; 2 and 3 are served
+        table.set(1, "&")
+        table.bound()
+        assert (table.recomputed, table.hits) == (6, 3)  # 1's high; 2 and 3 are held
+        assert table._lows[2] is not None and table._highs[2] is not None
 
     def test_robust_until_never_bounds_its_left_subtree(self):
         template = parse_template("(?<2> U p)")
         sample = all_p_sample(props=PQ)
         table = _SlotTable(template, sample, SemanticsParams(kind=ROBUST))
+
+        def bounded():
+            return [i for i, (lo, hi) in enumerate(zip(table._lows, table._highs))
+                    if lo is not None or hi is not None]
+
         for a in ({}, {2: "q"}, {2: "G", 4: "q"}, {2: "&", 4: "p", 5: "q"}, {}):
-            table.bound(a)
-        # 3's high once, then served; the root's high once per assignment
-        assert (table.recomputed, table.hits) == (6, 4)
-        assert sorted(table._bounds) == [1, 3]
+            apply(table, a)
+            table.bound()
+            assert bounded() == [1, 3]
+        # the root's high once per assignment, over 3's high, held after the
+        # first
+        assert (table.recomputed, table.hits) == (5, 4)
         # the discounted U reads both children
         table = _SlotTable(template, sample, SemanticsParams(kind=DISCOUNTED))
-        table.bound({2: "q"})
-        assert sorted(table._bounds) == [1, 2, 3]
+        apply(table, {2: "q"})
+        table.bound()
+        assert bounded() == [1, 2, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
@@ -540,22 +592,91 @@ class TestSlotTables:
         props = PropositionSet(["p", "q"])
         f = random_formula(rng, depth=rng.randint(2, 3), atoms=list(props), mode="nnf")
         [template] = make_templates(f, d=2, strategy=RANDOM, hole_prob=0.6, seed=seed)
-        view = _View(template, props)
-        sample, params = random_sample(rng, props), random_params(rng, kind)
         holes = list(template.hole_indices)
-        leaves = [dict(a) for a in itertools.islice(_assignments(view), 500)]
+        leaves = [dict(a) for a in itertools.islice(walk(template, props), 500)]
+        sample, params = random_sample(rng, props), random_params(rng, kind)
         for a in rng.sample(leaves, min(20, len(leaves))):
             table = _SlotTable(template, sample, params)
-            table.bound({i: a[i] for i in holes if rng.random() < 0.6})
-            computed = [(i, high) for i, entry in table._bounds.items()
-                        for high in (False, True) if entry[1 + high] is not None]
-            assert table.recomputed == len(computed) and table.hits == 0
+            apply(table, {i: a[i] for i in holes if rng.random() < 0.6})
+            table.bound()
+            computed = [(i, high) for high, entries in ((False, table._lows), (True, table._highs))
+                        for i, entry in enumerate(entries) if entry is not None]
+            # one kernel call per operator slot's endpoint, none served twice
+            assert table.recomputed == sum(table.label[i] in OPS for i, _ in computed)
+            assert table.hits == 0
             for i, high in computed:
                 if high:
                     continue
                 while i > 1 and not (i % 2 == 0 and table.label[i >> 1] == "->"):
                     i >>= 1
                 assert i > 1, f"a low outside every -> left side in {template}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
+           st.sampled_from(STRATEGIES))
+    def test_pushed_changes_equal_a_fresh_table(self, seed, kind, strategy):
+        # one table driven in the search's push/backtrack order (with random
+        # prunes), then by out-of-order assignments, operator flips and holes
+        # reset to "?": every bound, score and verdict equals a fresh table's
+        # and the references'
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        [template] = make_templates(
+            stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
+            hole_prob=0.6, seed=seed,
+        )
+        if len(template.hole_indices) > 6:
+            return
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        view = _View(template, props)
+        table = _SlotTable(template, sample, params)
+        holes = list(template.hole_indices)
+
+        def check(closed=0):
+            labels = {i: table.label[i] for i in holes if table.label[i] != "?"}
+            fresh = _SlotTable(template, sample, params)
+            apply(fresh, labels)
+            assert bound_mean_fitness(table) == fresh.bound() == reference_bound(
+                view, labels, sample, params)
+            if closed:
+                assert table.decode(table.verdict(closed)) == fresh.decode(fresh.verdict(closed))
+            if len(labels) < len(holes):
+                return
+            vid = table.verdict()
+            formula = table.decode(vid)
+            assert formula == fresh.formula() == _decode(view.m, labels)
+            assert table.rule(vid) == fresh.rule(fresh.verdict())
+            assert table.fitness() == fresh.fitness() == sample_fitness(formula, sample, params)
+
+        def prune(h):
+            if rng.random() < 0.3:
+                check(view.closing[h])
+            return rng.random() < 0.2
+
+        leaves = []
+        for a in itertools.islice(_assignments(view, table, prune), 100):
+            check()
+            leaves.append(dict(a))
+        if not leaves:
+            return
+        for _ in range(40):
+            move = rng.random()
+            if move < 0.4:
+                apply(table, rng.choice(leaves))
+            elif move < 0.7:
+                for i in holes:
+                    if rng.random() < 0.4:
+                        table.set(i, "?")
+            else:
+                # a label of the same arity keeps every child reached
+                i = rng.choice(holes)
+                label = table.label[i]
+                if label not in (None, "?"):
+                    table.set(i, rng.choice([
+                        x for x in template.labels_for(i, props)
+                        if repair_module.arity(x) == repair_module.arity(label)
+                    ]))
+            check()
 
     def test_negation_slot_is_refused(self):
         t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
@@ -573,22 +694,22 @@ def reference_search(sample, templates, params):
     scored, trivial_leaves = [], []
     for template in templates:
         view = _View(template, sample.props)
-        table = view.table(sample, params)
+        table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
 
-        def prune(assignment, h):
+        def prune(h):
             if best is None or h == last:
                 return False
-            return bound_mean_fitness(view, assignment, sample, params) < best_fit
+            return bound_mean_fitness(table) < best_fit
 
-        for assignment in _assignments(view, prune):
-            vid = table.verdict(assignment)
+        for assignment in _assignments(view, table, prune):
+            vid = table.verdict()
             formula = table.decode(vid)
             if table.rule(vid) is not None:
                 trivial_leaves.append(dict(assignment))
                 continue
             scored.append(formula)
-            fit = table.fitness(assignment)
+            fit = table.fitness()
             if not (fit > best_fit or (fit == best_fit and best is not None)):
                 continue
             key = (node_count(formula), format_formula(formula))
@@ -603,14 +724,16 @@ def search_with_spies(sample, templates, params):
     scored, rejected, cuts = [], [], []
     fitness, verdict = _SlotTable.fitness, _SlotTable.verdict
 
-    def spy_fitness(table, assignment):
-        scored.append(table.formula(assignment))
-        return fitness(table, assignment)
+    def spy_fitness(table):
+        scored.append(table.formula())
+        return fitness(table)
 
-    def spy_verdict(table, assignment, i=1):
-        out = verdict(table, assignment, i)
+    def spy_verdict(table, i=1):
+        out = verdict(table, i)
         if table.rule(out) is not None:
-            (rejected if i == 1 else cuts).append(dict(assignment))
+            # the decided holes: the search's assignment
+            (rejected if i == 1 else cuts).append(
+                {h: table.label[h] for h in table.holes if table.label[h] != "?"})
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -706,8 +829,8 @@ class TestRuleCounts:
 
 
 class TestNoCycles:
-    """A finished search leaves nothing for the cyclic collector: its view and
-    slot tables are freed by reference counting."""
+    """A finished search leaves nothing for the cyclic collector: its views
+    and slot tables are freed by reference counting."""
 
     @pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(node_limit=2)])
     def test_no_view_outlives_repair(self, budget):
@@ -720,7 +843,7 @@ class TestNoCycles:
         try:
             out = repair(sample, [t, t], SemanticsParams(kind=ROBUST), kappa=100.0,
                          budget=budget)
-            left = [o for o in gc.get_objects() if isinstance(o, _View)]
+            left = [o for o in gc.get_objects() if isinstance(o, (_View, _SlotTable))]
         finally:
             gc.enable()
         assert out.best is not None
