@@ -131,10 +131,11 @@ def _write_out(text: str, out: str | None):
 
 def cmd_mine(args) -> int:
     config = _read_config(args.config)
+    props = _setting(args, config, "props", None)
     cfg = RunConfig(
         traces_path=_setting(args, config, "traces", None),
         explanation_path=_setting(args, config, "explanation", None),
-        props=args.props.split(",") if args.props else None,
+        props=props.split(",") if props else None,
         semantics=_semantics(args, config),
         kappa=float(_setting(args, config, "kappa", 0.5, float)),
         depth=int(_setting(args, config, "depth", 1, int)),
@@ -144,7 +145,7 @@ def cmd_mine(args) -> int:
         provider=_setting(args, config, "provider", "mock"),
         endpoint=_setting(args, config, "endpoint", None),
         model=_setting(args, config, "model", None),
-        temperature=args.temperature,
+        temperature=_setting(args, config, "temperature", None, float),
         fixtures=_setting(args, config, "fixtures", None),
         seed=int(_setting(args, config, "seed", 0, int)),
         budget=_budget(args, config),
@@ -165,7 +166,8 @@ def cmd_repair(args) -> int:
     templates = [parse_template(t) for t in args.template]
     outcome = repair(
         sample, templates, _semantics(args, config),
-        kappa=args.kappa, budget=_budget(args, config),
+        kappa=float(_setting(args, config, "kappa", 0.5, float)),
+        budget=_budget(args, config),
     )
     from .pipeline import _outcome_dict
 
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="template text; repeatable")
     rep.add_argument("--props", default=None)
     _add_semantics_flags(rep)
-    rep.add_argument("--kappa", type=float, default=0.5)
+    rep.add_argument("--kappa", type=float, default=None)
     rep.add_argument("--time-limit", type=float, default=None)
     rep.add_argument("--node-limit", type=int, default=None)
     rep.add_argument("--config", default=None)

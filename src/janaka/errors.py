@@ -5,6 +5,8 @@ callers (and the CLI exit-code table) can distinguish failure modes without
 string matching.
 """
 
+import math
+
 
 class JanakaError(Exception):
     """Base class for all janaka errors."""
@@ -85,11 +87,17 @@ class ProviderUnreachableError(JanakaError):
 
 
 class RateLimitedError(JanakaError):
-    """The provider rate-limited the request."""
+    """The provider rate-limited the request. ``retry_after``, a number or a
+    Retry-After header's text, is kept only as finite, non-negative seconds:
+    anything else (an HTTP-date, say) counts as absent, None."""
 
     def __init__(self, message, retry_after=None):
         super().__init__(message)
-        self.retry_after = retry_after
+        try:
+            seconds = float(retry_after)
+        except (TypeError, ValueError):
+            seconds = math.nan
+        self.retry_after = seconds if 0 <= seconds < math.inf else None
 
 
 class AuthMissingError(JanakaError):

@@ -5,10 +5,12 @@ The bridge speaks a minimal chat-completions protocol: a list of
 Two providers are built in: an HTTP client for any endpoint speaking the
 de-facto JSON protocol (API key from the ``JANAKA_API_KEY`` environment
 variable) and a deterministic mock that replays fixture texts round-robin.
+The HTTP client uses only the standard library, imported on first request.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import threading
@@ -16,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-
-import requests
 
 from .errors import (
     AuthMissingError,
@@ -256,10 +256,13 @@ class MockChatProvider:
 
 
 class HttpChatProvider:
-    """Minimal chat-completions HTTP client.
+    """Minimal chat-completions HTTP client on the standard library.
 
-    POSTs {model, messages[, temperature]} to the endpoint with a bearer token
-    taken from the JANAKA_API_KEY environment variable (or given explicitly).
+    POSTs {model, messages[, temperature]} as JSON to the endpoint with a
+    bearer token taken from the JANAKA_API_KEY environment variable (or given
+    explicitly). urllib is imported on the first request: it loads ssl and
+    http.client, whose time and memory a process that never posts is spared.
+    HTTPS trusts the system CA store, as ssl's defaults do.
     """
 
     def __init__(
@@ -281,6 +284,10 @@ class HttpChatProvider:
         return f"http:{self.model}"
 
     def complete(self, messages: list[dict], temperature: float | None = None) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         key = self._api_key or os.environ.get("JANAKA_API_KEY")
         if not key:
             raise AuthMissingError("set JANAKA_API_KEY or pass api_key explicitly")
@@ -288,25 +295,29 @@ class HttpChatProvider:
         temp = self.temperature if temperature is None else temperature
         if temp is not None:
             payload["temperature"] = temp
+        request = urllib.request.Request(  # a POST, since it carries data
+            self.endpoint,
+            json.dumps(payload).encode(),
+            {"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+        )
         try:
-            resp = requests.post(
-                self.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, headers, body = resp.status, resp.headers, resp.read()
+            except urllib.error.HTTPError as exc:  # a status outside 2xx
+                with exc:
+                    status, headers, body = exc.code, exc.headers, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderUnreachableError(f"request failed: {exc}") from exc
-        if resp.status_code == 429:
-            retry_after = resp.headers.get("Retry-After")
+        if status == 429:
             raise RateLimitedError(
-                "provider rate limit hit",
-                retry_after=float(retry_after) if retry_after else None,
+                "provider rate limit hit", retry_after=headers.get("Retry-After")
             )
-        if resp.status_code >= 400:
-            raise ProviderUnreachableError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status >= 400:
+            text = body.decode("utf-8", "replace")
+            raise ProviderUnreachableError(f"HTTP {status}: {text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderUnreachableError(f"malformed provider response: {exc}") from exc
 
@@ -348,8 +359,10 @@ def _try_parse(text: str, props: PropositionSet):
         return None, has_op, strong, True
 
 
-def _scan_chunk(chunk: str, props: PropositionSet, whole_line: bool, strict: bool):
-    """Returns (formulas, invalid_seen) for one line-like chunk of text."""
+def _scan_chunk(chunk: str, props: PropositionSet, strict: bool):
+    """Returns (formulas, invalid_seen) for one line-like chunk of text. A
+    span with no operator counts as a formula only when it is the whole
+    chunk."""
     chunk = _BULLET_RE.sub("", chunk).strip()
     if not chunk:
         return [], False
@@ -363,7 +376,7 @@ def _scan_chunk(chunk: str, props: PropositionSet, whole_line: bool, strict: boo
             continue
         f, has_op, strong, tokenized = _try_parse(span, props)
         if f is not None:
-            if has_op or (whole_line and span == chunk):
+            if has_op or span == chunk:
                 found.append(f)
         elif tokenized and strong:
             invalid = True
@@ -392,12 +405,12 @@ def extract_candidates(text: str, props: PropositionSet):
             for line in block.splitlines():
                 if not line.strip():
                     continue
-                got, bad = _scan_chunk(line, props, whole_line=True, strict=True)
+                got, bad = _scan_chunk(line, props, strict=True)
                 found.extend(got)
                 invalid = invalid or bad
     else:
         for line in text.splitlines():
-            got, bad = _scan_chunk(line, props, whole_line=True, strict=False)
+            got, bad = _scan_chunk(line, props, strict=False)
             found.extend(got)
             invalid = invalid or bad
     unique: dict[str, Formula] = {}

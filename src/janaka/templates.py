@@ -28,7 +28,7 @@ in its hole mode (:func:`janaka.formulas.parse_holes`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DepthExceededError, FormulaSyntaxError, UnsupportedNegationError
@@ -83,9 +83,6 @@ class Template:
 
     depth: int
     slots: tuple[tuple[int, Slot], ...]
-    source: Formula | None = field(default=None, compare=False)
-    strategy: str | None = field(default=None, compare=False)
-    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         entries = tuple(sorted(self.slots))
@@ -277,9 +274,7 @@ def make_templates(
             i, _lbl, ar = eligible[rng.randrange(len(eligible))]
             _apply_rule(trial, i, ar, d)
         depth = max(_level(i) for i in trial)
-        out.append(
-            Template(depth, tuple(trial.items()), source=f, strategy=strategy, seed=seed)
-        )
+        out.append(Template(depth, tuple(trial.items())))
     return out
 
 
@@ -324,7 +319,7 @@ def format_template(t: Template) -> str:
 
 
 def parse_template(text: str) -> Template:
-    """Parse template text back into a Template (provenance fields empty)."""
+    """Parse template text back into a Template."""
     if not text or not text.strip():
         raise FormulaSyntaxError("empty template text", 0)
     slots: dict[int, Slot] = {}

@@ -47,3 +47,69 @@ class TestSetting:
         assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", 1, cast) == 1
         # a default is taken as the caller typed it, even a string
         assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", "1", cast) == "1"
+
+
+class Captured(Exception):
+    """Stops a command once the patched call has seen its arguments."""
+
+
+def capture(monkeypatch, name):
+    """Patch cli.<name> to record its arguments and stop the command."""
+    seen = {}
+
+    def fake(*args, **kwargs):
+        seen.update(args=args, kwargs=kwargs)
+        raise Captured
+
+    monkeypatch.setattr(cli, name, fake)
+    return seen
+
+
+class TestIniSettings:
+    """Each setting is the flag, else the INI file's, else the default."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\ntemperature = 0.7\nprops = p,q,r\nkappa = 0.25\n")
+        return tmp_path, ini
+
+    def mine(self, monkeypatch, files, *flags):
+        tmp, ini = files
+        seen = capture(monkeypatch, "janaka_run")
+        with pytest.raises(Captured):
+            cli.main(["mine", "--traces", str(tmp / "traces.txt"), "--config", str(ini), *flags])
+        return seen["args"][0]
+
+    def repair(self, monkeypatch, files, *flags):
+        tmp, ini = files
+        seen = capture(monkeypatch, "repair")
+        with pytest.raises(Captured):
+            cli.main(["repair", "--traces", str(tmp / "traces.txt"), "--template", "G(?<1>)",
+                      "--config", str(ini), *flags])
+        return seen["kwargs"]["kappa"]
+
+    def test_mine_temperature(self, monkeypatch, files):
+        assert self.mine(monkeypatch, files).temperature == 0.7
+        assert self.mine(monkeypatch, files, "--temperature", "0.1").temperature == 0.1
+
+    def test_mine_props(self, monkeypatch, files):
+        assert self.mine(monkeypatch, files).props == ["p", "q", "r"]
+        assert self.mine(monkeypatch, files, "--props", "q,p").props == ["q", "p"]
+
+    def test_repair_kappa(self, monkeypatch, files):
+        assert self.repair(monkeypatch, files) == 0.25
+        assert self.repair(monkeypatch, files, "--kappa", "0.75") == 0.75
+
+    def test_defaults_without_a_config(self, monkeypatch, files):
+        tmp, _ = files
+        seen = capture(monkeypatch, "janaka_run")
+        with pytest.raises(Captured):
+            cli.main(["mine", "--traces", str(tmp / "traces.txt")])
+        cfg = seen["args"][0]
+        assert cfg.temperature is None and cfg.props is None
+        seen = capture(monkeypatch, "repair")
+        with pytest.raises(Captured):
+            cli.main(["repair", "--traces", str(tmp / "traces.txt"), "--template", "G(?<1>)"])
+        assert seen["kwargs"]["kappa"] == 0.5

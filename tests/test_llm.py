@@ -1,9 +1,24 @@
+import http.server
+import json
+import os
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
+import janaka
+from janaka import cli
 from janaka import llm as llm_mod
-from janaka.errors import AuthMissingError, NoValidFormulaError, RateLimitedError
+from janaka.errors import (
+    AuthMissingError,
+    NoValidFormulaError,
+    ProviderUnreachableError,
+    RateLimitedError,
+)
 from janaka.formulas import (
     And,
     Atom,
@@ -261,33 +276,160 @@ class TestTopK:
         assert len(top_k(cands, s, SemanticsParams(kind=DISCOUNTED), k=10)) == 1
 
 
+class StubHandler(http.server.BaseHTTPRequestHandler):
+    """Records each POST and answers with the server's `reply`:
+    (status, headers, body), or raw bytes sent instead of an HTTP response."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers, json.loads(body)))
+        reply = self.server.reply
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            return
+        status, headers, body = reply
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def chat_reply(content):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """A chat endpoint on loopback, served from one thread."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), StubHandler)
+    server.seen = []
+    server.reply = (200, {}, chat_reply("G(p)"))
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    # a short poll keeps shutdown() from waiting half a second per test
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+HTTP_DATE = "Wed, 21 Oct 2015 07:28:00 GMT"
+
+
 class TestHttpProvider:
-    def test_auth_missing(self, monkeypatch):
+    def test_auth_missing(self, stub, monkeypatch):
         monkeypatch.delenv("JANAKA_API_KEY", raising=False)
-        provider = HttpChatProvider("http://localhost:1/v1/chat", "m")
-        with pytest.raises(AuthMissingError):
+        with pytest.raises(AuthMissingError) as info:
+            HttpChatProvider(stub.url, "m").complete([])
+        assert stub.seen == []
+        assert cli.exit_code_for(info.value) == 13
+
+    def test_round_trip_against_local_stub(self, stub):
+        provider = HttpChatProvider(stub.url, "model-z", api_key="k", temperature=0.2)
+        messages = [{"role": "user", "content": "hi"}]
+        assert provider.complete(messages) == "G(p)"
+        headers, payload = stub.seen[-1]
+        assert payload == {"model": "model-z", "messages": messages, "temperature": 0.2}
+        assert headers["Authorization"] == "Bearer k"
+        assert headers["Content-Type"] == "application/json"
+        # a per-call temperature wins over the provider's
+        provider.complete(messages, temperature=0.9)
+        assert stub.seen[-1][1]["temperature"] == 0.9
+
+    def test_key_from_the_environment_and_no_temperature(self, stub, monkeypatch):
+        monkeypatch.setenv("JANAKA_API_KEY", "env-key")
+        assert HttpChatProvider(stub.url, "m").complete([]) == "G(p)"
+        headers, payload = stub.seen[-1]
+        assert headers["Authorization"] == "Bearer env-key"
+        assert payload == {"model": "m", "messages": []}
+
+    @pytest.mark.parametrize("header, expected", [
+        ({"Retry-After": "3"}, 3.0),
+        ({"Retry-After": "0"}, 0.0),
+        ({"Retry-After": HTTP_DATE}, None),
+        ({"Retry-After": "-5"}, None),
+        ({"Retry-After": "nan"}, None),
+        ({}, None),
+    ], ids=["seconds", "zero", "http-date", "negative", "nan", "absent"])
+    def test_rate_limited(self, stub, header, expected):
+        stub.reply = (429, header, b"slow down")
+        with pytest.raises(RateLimitedError) as info:
+            HttpChatProvider(stub.url, "m", api_key="k").complete([])
+        assert info.value.retry_after == expected
+        assert cli.exit_code_for(info.value) == 12
+
+    def test_unusable_retry_after_is_not_slept(self, stub, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = HttpChatProvider(stub.url, "m", api_key="k")
+        bundle = build_prompt(sample_pq(), "hello", n=5)
+        for value in (HTTP_DATE, "-5"):
+            stub.reply = (429, {"Retry-After": value}, b"")
+            with pytest.raises(RateLimitedError):
+                request_candidates(provider, bundle, max_retries=1)
+        assert slept == []
+        stub.reply = (429, {"Retry-After": "2"}, b"")
+        with pytest.raises(RateLimitedError):
+            request_candidates(provider, bundle, max_retries=1)
+        assert slept == [2.0]
+
+    def test_server_error(self, stub):
+        stub.reply = (500, {}, b"x" * 300)
+        with pytest.raises(ProviderUnreachableError) as info:
+            HttpChatProvider(stub.url, "m", api_key="k").complete([])
+        assert str(info.value) == "HTTP 500: " + "x" * 200
+        assert cli.exit_code_for(info.value) == 11
+
+    @pytest.mark.parametrize("body", [b"<html>not json</html>", b'{"choices": []}'],
+                             ids=["not-json", "no-choice"])
+    def test_malformed_body(self, stub, body):
+        stub.reply = (200, {}, body)
+        with pytest.raises(ProviderUnreachableError, match="malformed"):
+            HttpChatProvider(stub.url, "m", api_key="k").complete([])
+
+    def test_reply_that_is_not_http(self, stub):
+        stub.reply = b"hello\r\n\r\n"
+        with pytest.raises(ProviderUnreachableError, match="request failed"):
+            HttpChatProvider(stub.url, "m", api_key="k").complete([])
+
+    def test_nothing_listening(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        with socket.socket() as sock:  # a port that was just free
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        provider = HttpChatProvider(f"http://127.0.0.1:{port}/v1", "m", api_key="k", timeout=5)
+        with pytest.raises(ProviderUnreachableError, match="request failed") as info:
             provider.complete([])
+        assert cli.exit_code_for(info.value) == 11
 
-    def test_round_trip_against_local_stub(self, monkeypatch):
-        import janaka.llm as llm_mod
 
-        class FakeResponse:
-            status_code = 200
-            headers = {}
-
-            def json(self):
-                return {"choices": [{"message": {"content": "G(p)"}}]}
-
-        captured = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured.update(url=url, payload=json, headers=headers)
-            return FakeResponse()
-
-        monkeypatch.setattr(llm_mod.requests, "post", fake_post)
-        provider = HttpChatProvider("http://x/v1", "model-z", api_key="k", temperature=0.2)
-        out = provider.complete([{"role": "user", "content": "hi"}])
-        assert out == "G(p)"
-        assert captured["payload"]["model"] == "model-z"
-        assert captured["payload"]["temperature"] == 0.2
-        assert captured["headers"]["Authorization"] == "Bearer k"
+def test_importing_janaka_loads_no_third_party_or_http_module():
+    """A fresh interpreter that imports every janaka module loads nothing
+    from site-packages, nor the standard library's HTTP and TLS modules."""
+    code = textwrap.dedent("""
+        import importlib, json, pkgutil, sys
+        before = set(sys.modules)
+        import janaka
+        for info in pkgutil.iter_modules(janaka.__path__):
+            importlib.import_module("janaka." + info.name)
+        print(json.dumps({name: getattr(sys.modules[name], "__file__", None) or ""
+                          for name in set(sys.modules) - before}))
+    """)
+    src = str(Path(janaka.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+    assert "janaka.milp" in loaded and "janaka.cli" in loaded
+    third_party = {name: path for name, path in loaded.items()
+                   if name.split(".")[0] != "janaka"
+                   and ("site-packages" in path or "dist-packages" in path)}
+    assert third_party == {}
+    assert not {"ssl", "http.client", "urllib.request"} & set(loaded)
