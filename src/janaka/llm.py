@@ -262,7 +262,9 @@ class HttpChatProvider:
     bearer token taken from the JANAKA_API_KEY environment variable (or given
     explicitly). urllib is imported on the first request: it loads ssl and
     http.client, whose time and memory a process that never posts is spared.
-    HTTPS trusts the system CA store, as ssl's defaults do.
+    HTTPS trusts the system CA store, as ssl's defaults do. Redirects are not
+    followed: a 3xx raises ProviderUnreachableError naming its Location, and
+    so does an endpoint that is not an http(s) URL.
     """
 
     def __init__(
@@ -288,6 +290,12 @@ class HttpChatProvider:
         import urllib.error
         import urllib.request
 
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            # a followed redirect would carry the bearer token to whatever
+            # host it names; refused, the 3xx comes back as an HTTPError
+            def redirect_request(self, *args):
+                return None
+
         key = self._api_key or os.environ.get("JANAKA_API_KEY")
         if not key:
             raise AuthMissingError("set JANAKA_API_KEY or pass api_key explicitly")
@@ -295,24 +303,31 @@ class HttpChatProvider:
         temp = self.temperature if temperature is None else temperature
         if temp is not None:
             payload["temperature"] = temp
-        request = urllib.request.Request(  # a POST, since it carries data
-            self.endpoint,
-            json.dumps(payload).encode(),
-            {"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
-        )
         try:
+            # a malformed URL raises ValueError here, so it is caught too
+            request = urllib.request.Request(  # a POST, since it carries data
+                self.endpoint,
+                json.dumps(payload).encode(),
+                {"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+            )
+            if request.type not in ("http", "https"):
+                raise ProviderUnreachableError(f"not an http(s) endpoint: {self.endpoint}")
+            opener = urllib.request.build_opener(RefuseRedirects)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                with opener.open(request, timeout=self.timeout) as resp:
                     status, headers, body = resp.status, resp.headers, resp.read()
             except urllib.error.HTTPError as exc:  # a status outside 2xx
                 with exc:
                     status, headers, body = exc.code, exc.headers, exc.read()
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise ProviderUnreachableError(f"request failed: {exc}") from exc
         if status == 429:
             raise RateLimitedError(
                 "provider rate limit hit", retry_after=headers.get("Retry-After")
             )
+        if 300 <= status < 400:
+            location = headers.get("Location")
+            raise ProviderUnreachableError(f"HTTP {status}: redirect to {location} not followed")
         if status >= 400:
             text = body.decode("utf-8", "replace")
             raise ProviderUnreachableError(f"HTTP {status}: {text[:200]}")

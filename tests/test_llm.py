@@ -1,3 +1,4 @@
+import contextlib
 import http.server
 import json
 import os
@@ -278,7 +279,12 @@ class TestTopK:
 
 class StubHandler(http.server.BaseHTTPRequestHandler):
     """Records each POST and answers with the server's `reply`:
-    (status, headers, body), or raw bytes sent instead of an HTTP response."""
+    (status, headers, body), or raw bytes sent instead of an HTTP response.
+    A GET, which only a followed redirect would send, is recorded too."""
+
+    def do_GET(self):
+        self.server.seen.append((self.headers, None))
+        self.send_error(405)
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
@@ -303,10 +309,9 @@ def chat_reply(content):
     return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
 
-@pytest.fixture
-def stub(monkeypatch):
+@contextlib.contextmanager
+def serve():
     """A chat endpoint on loopback, served from one thread."""
-    monkeypatch.setenv("no_proxy", "*")
     server = http.server.HTTPServer(("127.0.0.1", 0), StubHandler)
     server.seen = []
     server.reply = (200, {}, chat_reply("G(p)"))
@@ -314,10 +319,19 @@ def stub(monkeypatch):
     # a short poll keeps shutdown() from waiting half a second per test
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
     thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    with serve() as server:
+        yield server
 
 
 HTTP_DATE = "Wed, 21 Oct 2015 07:28:00 GMT"
@@ -398,6 +412,31 @@ class TestHttpProvider:
         stub.reply = b"hello\r\n\r\n"
         with pytest.raises(ProviderUnreachableError, match="request failed"):
             HttpChatProvider(stub.url, "m", api_key="k").complete([])
+
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, stub, code):
+        with serve() as elsewhere:
+            stub.reply = (code, {"Location": elsewhere.url}, b"")
+            with pytest.raises(ProviderUnreachableError) as info:
+                HttpChatProvider(stub.url, "m", api_key="secret").complete([])
+            # the bearer token never reaches the host the redirect names
+            assert elsewhere.seen == []
+        assert str(info.value) == f"HTTP {code}: redirect to {elsewhere.url} not followed"
+        assert len(stub.seen) == 1
+        assert cli.exit_code_for(info.value) == 11
+
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.com/v1/chat", "http://[::1/v1/chat",
+        "file:///dev/null", "ftp://127.0.0.1:9/y",
+    ], ids=["no-scheme", "bad-ipv6", "file", "ftp"])
+    def test_endpoint_that_is_not_an_http_url(self, endpoint, tmp_path, monkeypatch):
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        (tmp_path / "explain.txt").write_text("p always holds")
+        monkeypatch.setenv("JANAKA_API_KEY", "k")
+        code = cli.main(["mine", "--provider", "http", "--endpoint", endpoint, "--model", "m",
+                         "--traces", str(tmp_path / "traces.txt"),
+                         "--explanation", str(tmp_path / "explain.txt")])
+        assert code == 11
 
     def test_nothing_listening(self, monkeypatch):
         monkeypatch.setenv("no_proxy", "*")
