@@ -114,12 +114,10 @@ def _budget(args, config) -> SearchBudget:
     )
 
 
-def _props(args, text: str | None = None) -> PropositionSet | None:
-    if getattr(args, "props", None):
-        return PropositionSet(args.props.split(","))
-    if text is not None:
-        return infer_props(text)
-    return None
+def _props(args, config: dict, text: str) -> PropositionSet:
+    """The flag's atoms, else the INI file's, else those the traces use."""
+    props = _setting(args, config, "props", None)
+    return PropositionSet(props.split(",")) if props else infer_props(text)
 
 
 def _write_out(text: str, out: str | None):
@@ -162,7 +160,7 @@ def cmd_mine(args) -> int:
 def cmd_repair(args) -> int:
     config = _read_config(args.config)
     text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, text))
+    sample = parse_traces(text, _props(args, config, text))
     templates = [parse_template(t) for t in args.template]
     outcome = repair(
         sample, templates, _semantics(args, config),
@@ -179,7 +177,7 @@ def cmd_repair(args) -> int:
 def cmd_eval(args) -> int:
     config = _read_config(args.config)
     text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, text))
+    sample = parse_traces(text, _props(args, config, text))
     result = eval_formula(args.formula, sample, _semantics(args, config), both=args.both)
     _write_out(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -199,7 +197,7 @@ def cmd_gen_traces(args) -> int:
 def cmd_export_milp(args) -> int:
     config = _read_config(args.config)
     text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, text))
+    sample = parse_traces(text, _props(args, config, text))
     template = parse_template(args.template)
     depth = args.depth if args.depth else template.depth
     lp = export_milp(template, sample, _semantics(args, config), d=depth)

@@ -10,6 +10,19 @@ is ever made; min/max terms are linearized with selector binaries; big-M
 constants are derived per node from the proven value ranges ([0,1]
 discounted, [-1, robust_upper_bound] robust).
 
+A closed slot is Fixed, and so is every child its label reads: its subtree has
+no hole, so its scores are the same under every filling. The encoder computes
+them once, bottom-up with the kernels over the flat sample (one kernel call
+per closed slot), and writes each y_{i,t,trace} as a fixed bound. A closed
+slot has no literal, case or sign rows, no auxiliaries and no selector or gate
+binaries. Where an open parent reads its sign, the sign is the fixed bound
+s = 1 exactly when the score is >= 0, so a constant has no EPS band. What
+remains: the structure rows that read some hole's binary (a row over Fixed
+slots' binaries alone, all bounded to 1, always holds), and the rows of the
+open slots, which read a closed child's y as they read any other. Every
+Fixed slot keeps its x = 1 bound, so `template_from_lp` still rebuilds the
+template.
+
 A slot's literal labels share one gated pair per position. At most one of the
 slot's binaries is 1, so the sum of its literal binaries is the gate, and with
 v_l the literal's value and M above |y| (2 discounted, the slot's absolute
@@ -46,8 +59,8 @@ word length:
 
 What verifies both encodings against the semantics is the forcing check in
 tests/test_milp.py: with x fixed to a filling and every other used slot's
-scores fixed to their native values, each slot's rows admit exactly its
-native scores.
+scores fixed to their native values, each slot's rows (a closed slot's
+bounds) admit exactly its native scores.
 
 Row text is built from interned pieces: each distinct coefficient's signed
 "± c " prefix and each distinct number is formatted once per model, and
@@ -67,7 +80,7 @@ from math import copysign
 from .errors import DepthExceededError, UnsupportedForExportError
 from .formulas import TRUE_ATOM
 from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code, literal_values
-from .semantics import DISCOUNTED, SemanticsParams, value_range
+from .semantics import DISCOUNTED, SemanticsParams, flat_layout, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
@@ -176,6 +189,28 @@ class _Encoder:
                 self.labels[i] = [slot.label]
         self.signs: dict[tuple, str] = {}
         self._ranges: dict[tuple[int, int], tuple[float, float]] = {}
+        states, segments = flat_layout(sample.traces)
+        self.starts = [start for start, _ in segments]
+        self.consts = self._closed_values(states, segments)
+
+    def _closed_values(self, states, segments) -> dict[int, list]:
+        """Each closed slot's scores over the flat sample, children first:
+        one kernel call per slot. A slot is closed when it is Fixed and every
+        child its label reads is closed."""
+        p = self.p
+        values: dict[int, list] = {}
+        for i, slot in reversed(self.t.slots):
+            if not isinstance(slot, Fixed):
+                continue
+            op = OPS.get(slot.label)
+            if op is None:
+                values[i] = literal_values(slot.label, states, p)
+                continue
+            kids = (2 * i, 2 * i + 1)[: op.arity]
+            if all(k in values for k in kids):
+                values[i] = getattr(op, p.kind)(p, *(values[k] for k in kids),
+                                                segments=segments)
+        return values
 
     # --- variable helpers ---------------------------------------------------
 
@@ -201,13 +236,16 @@ class _Encoder:
         key = (i, t, tr)
         if key in self.signs:
             return self.signs[key]
-        s = f"s_{i}_{t}_{tr}"
+        s = self.signs[key] = f"s_{i}_{t}_{tr}"
+        if i in self.consts:
+            # a constant's sign is exact: a fixed bound, no rows, no band
+            self.e.bounds.append(f"{s} = {int(self.consts[i][self.starts[tr] + t] >= 0)}")
+            return s
         m = self.absbound(i, t, n) + 1.0
         yv = self.y(i, t, tr)
         self.e.row([(1.0, yv), (-m, s)], ">=", -m)
         self.e.row([(1.0, yv), (-m, s)], "<=", -EPS * m)
         self.e.binaries.append(s)
-        self.signs[key] = s
         return s
 
     def fresh_binary(self, name: str) -> str:
@@ -217,50 +255,51 @@ class _Encoder:
     # --- structure ------------------------------------------------------------
 
     def encode_structure(self):
+        """A Fixed slot's binary is bounded to 1; the rows are the ones that
+        read a hole's binary (a row over Fixed slots' binaries alone always
+        holds)."""
         e = self.e
+        fixed = {i for i, slot in self.m.items() if isinstance(slot, Fixed)}
         for i, labels in sorted(self.labels.items()):
-            xs = [(1.0, self.x(i, lbl)) for lbl in labels]
-            if not xs:
+            if i in fixed:
+                e.bounds.append(f"{self.x(i, labels[0])} = 1")
+                continue
+            if not labels:
                 raise UnsupportedForExportError(f"slot {i} admits no label")
-            if i == 1:
-                e.row(xs, "=", 1.0)
-            else:
-                e.row(xs, "<=", 1.0)
-            slot = self.m[i]
-            for lbl in labels:
-                if isinstance(slot, Fixed):
-                    e.bounds.append(f"{self.x(i, lbl)} = 1")
-                else:
-                    self.fresh_binary(self.x(i, lbl))
+            e.row([(1.0, self.fresh_binary(self.x(i, lbl))) for lbl in labels],
+                  "=" if i == 1 else "<=", 1.0)
         for i, labels in sorted(self.labels.items()):
-            bins = [(lbl, self.x(i, lbl)) for lbl in labels if lbl in BINARY_OPS]
-            uns = [(lbl, self.x(i, lbl)) for lbl in labels if lbl in UNARY_OPS]
-            left, right = 2 * i, 2 * i + 1
-            if left in self.labels:
-                lab_left = [(1.0, self.x(left, lbl)) for lbl in self.labels[left]]
-                # left labeled only under a binary or unary parent
-                e.row(lab_left + [(-1.0, v) for _, v in bins + uns], "<=", 0.0)
-                # binary / unary parents force a labeled left child
-                for _, v in bins + uns:
-                    e.row([(1.0, v)] + [(-1.0, lv) for _, lv in lab_left], "<=", 0.0)
-            if right in self.labels:
-                lab_right = [(1.0, self.x(right, lbl)) for lbl in self.labels[right]]
-                e.row(lab_right + [(-1.0, v) for _, v in bins], "<=", 0.0)
-                for _, v in bins:
-                    e.row([(1.0, v)] + [(-1.0, rv) for _, rv in lab_right], "<=", 0.0)
+            bins = [self.x(i, lbl) for lbl in labels if lbl in BINARY_OPS]
+            uns = [self.x(i, lbl) for lbl in labels if lbl in UNARY_OPS]
+            # left labeled only under a binary or unary parent, right only
+            # under a binary one; such a parent forces a labeled child
+            for child, parents in ((2 * i, bins + uns), (2 * i + 1, bins)):
+                if child not in self.labels or (i in fixed and child in fixed):
+                    continue
+                lab = [(1.0, self.x(child, lbl)) for lbl in self.labels[child]]
+                e.row(lab + [(-1.0, v) for v in parents], "<=", 0.0)
+                for v in parents:
+                    e.row([(1.0, v)] + [(-1.0, x) for _, x in lab], "<=", 0.0)
 
     # --- scores ------------------------------------------------------------------
 
     def encode_scores(self):
         e = self.e
         case = self._disc_case if self.p.kind == DISCOUNTED else self._rob_case
+        open_slots = [(i, lbls) for i, lbls in sorted(self.labels.items())
+                      if i not in self.consts]
         for tr, trace in enumerate(self.sample.traces):
             n = len(trace.states)
+            start = self.starts[tr]
             for i in sorted(self.labels):
+                values = self.consts.get(i)
                 for t in range(n):
-                    lo, hi = self.ybound(i, t, n)
-                    e.bounds.append(f"{e.number(lo)} <= {self.y(i, t, tr)} <= {e.number(hi)}")
-            for i, labels in sorted(self.labels.items()):
+                    if values is None:
+                        lo, hi = self.ybound(i, t, n)
+                        e.bounds.append(f"{e.number(lo)} <= {self.y(i, t, tr)} <= {e.number(hi)}")
+                    else:  # a closed slot's scores are constants, with no rows
+                        e.bounds.append(f"{self.y(i, t, tr)} = {e.number(values[start + t])}")
+            for i, labels in open_slots:
                 literals = [lbl for lbl in labels if lbl not in OPS]
                 if literals:
                     self._literals(i, literals, tr, trace.states)

@@ -70,7 +70,9 @@ class TestIniSettings:
 
     @pytest.fixture
     def files(self, tmp_path):
-        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        # the traces assign every atom the INI's props name, as `repair`
+        # parses them with those props
+        (tmp_path / "traces.txt").write_text("p,q,!r;p,!q,r#\n")
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\ntemperature = 0.7\nprops = p,q,r\nkappa = 0.25\n")
         return tmp_path, ini
@@ -101,6 +103,27 @@ class TestIniSettings:
     def test_repair_kappa(self, monkeypatch, files):
         assert self.repair(monkeypatch, files) == 0.25
         assert self.repair(monkeypatch, files, "--kappa", "0.75") == 0.75
+
+    @pytest.mark.parametrize("command", [
+        ["repair", "--template", "G(?<1>)"],
+        ["eval", "--formula", "G(p)"],
+        ["export-milp", "--template", "G(?<1>)"],
+    ], ids=lambda c: c[0])
+    def test_trace_commands_props(self, monkeypatch, tmp_path, command):
+        # the traces use p then q, so an INI or flag order shows as q, p
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        ini = tmp_path / "props.ini"
+        ini.write_text("[run]\nprops = q,p\n")
+
+        def props_reaching_parse_traces(*flags):
+            seen = capture(monkeypatch, "parse_traces")
+            with pytest.raises(Captured):
+                cli.main([*command, "--traces", str(tmp_path / "traces.txt"), *flags])
+            return list(seen["args"][1])
+
+        assert props_reaching_parse_traces("--config", str(ini)) == ["q", "p"]
+        assert props_reaching_parse_traces("--config", str(ini), "--props", "p,q") == ["p", "q"]
+        assert props_reaching_parse_traces() == ["p", "q"]
 
     def test_defaults_without_a_config(self, monkeypatch, files):
         tmp, _ = files

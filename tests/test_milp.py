@@ -1,19 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from janaka.errors import UnsupportedForExportError
-from janaka.formulas import PropositionSet, children, format_formula, is_literal
+from janaka.formulas import PropositionSet, children, format_formula, is_literal, parse_formula
 from janaka.milp import _Emitter, _parse_lp, export_milp, lp_optimum, template_from_lp
-from janaka.ops import evaluate, label_code, op_of
+from janaka.ops import arity, evaluate, label_code, op_of
 from janaka.repair import enumerate_fillings
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, value_of
-from janaka.templates import parse_template
+from janaka.templates import Fixed, make_templates, parse_template
 from janaka.traces import Sample, Trace
 
-from gen import random_trace
+from gen import random_formula, random_trace
 
 try:
     import numpy as np
@@ -82,6 +82,45 @@ class TestExportShape:
             assert len(gated) == 2 * 3
             assert all("x_2_lit_p" in r and "x_2_nlit_p" in r for r in gated)
 
+    def test_closed_slots_are_constants(self):
+        # slots 4 (U), 8 (p) and 9 (q) are closed; slot 1 is a Fixed G over
+        # the hole at 2, and slot 5 is a hole
+        t = parse_template("G(((p U q) ? ?<1>))")
+        sample = Sample(
+            (Trace(states({"p"}, {"q"}, set())), Trace(states({"p", "q"}, {"p"}))), PQ
+        )
+        closed = closed_formulas(t)
+        assert sorted(closed) == [4, 8, 9]
+        for params in (disc(), SemanticsParams(kind=ROBUST)):
+            lp = export_milp(t, sample, params, d=t.depth)
+            _, rows, bounds, binaries = _parse_lp(lp)
+            assert not [b for b in binaries if slot_of(b) in closed]
+            for k in closed:
+                assert bounds[f"x_{k}_{label_code(t.slot_map[k].label)}"] == [1.0, 1.0]
+            for coeffs, _, _, quad in rows:
+                names = set(coeffs) | {v for _, va, vb in quad for v in (va, vb)}
+                own = {v for v in names if slot_of(v) in closed}
+                # only slot 2's rows read the closed slot 4: its label, score
+                # and sign
+                assert all(v.startswith(("x_4_", "y_4_", "s_4_")) for v in own), own
+                assert not own or any(slot_of(v) == 2 for v in names), names
+            for k, f in closed.items():
+                for tr, trace in enumerate(sample.traces):
+                    want = evaluate(f, trace.states, params.kind, params)
+                    for pos, v in enumerate(want):
+                        assert bounds[f"y_{k}_{pos}_{tr}"] == [float(_fmt(v))] * 2
+            # the Fixed G over the hole keeps its rows
+            assert any("y_1_0_0" in coeffs for coeffs, *_ in rows)
+
+    def test_rows_over_fixed_binaries_only_are_dropped(self):
+        t = parse_template("G((p -> ?<1>))")
+        sample = Sample((Trace(states({"p"}, set())),), PQ)
+        _, rows, bounds, _ = _parse_lp(export_milp(t, sample, disc(), d=t.depth))
+        structure = [c for c, *_ in rows if all(v.startswith("x_") for v in c)]
+        # each row reads the hole's binaries: slot 5's own, and its links to slot 2
+        assert structure and all(any(v.startswith("x_5_") for v in c) for c in structure)
+        assert bounds["x_1_g"] == bounds["x_2_imp"] == bounds["x_4_lit_p"] == [1.0, 1.0]
+
     def test_true_label_unsupported(self):
         t = parse_template("G(true)")
         sample = Sample((Trace(states({"p"})),), P)
@@ -145,6 +184,62 @@ class TestDiscountedCrossValidation:
             self.check(text, sample, params)
 
 
+def slot_of(name: str) -> int:
+    """The slot index in a model variable's name (``x_4_u``, ``y_4_0_1``)."""
+    return int(name.split("_")[1])
+
+
+def closed_formulas(t):
+    """Slot index -> formula of every closed slot: Fixed, over closed children."""
+    out = {}
+    for i, slot in reversed(t.slots):
+        if not isinstance(slot, Fixed):
+            continue
+        kids = [out.get(k) for k in (2 * i, 2 * i + 1)[: arity(slot.label)]]
+        if None in kids:
+            continue
+        if len(kids) == 2:
+            text = f"({kids[0]} {slot.label} {kids[1]})"
+        else:
+            text = f"{slot.label}({kids[0]})" if kids else slot.label
+        out[i] = text
+    return {i: parse_formula(text) for i, text in out.items()}
+
+
+class TestClosedSubtrees:
+    """Random templates from the template generator, under both semantics:
+    each closed slot's scores are bounds equal to the kernels' values, its
+    signs are exact, and the model still encodes the same template."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([DISCOUNTED, ROBUST]))
+    def test_bounds_are_the_kernel_values(self, seed, kind):
+        rng = random.Random(seed)
+        f = random_formula(rng, rng.randint(2, 3), ["p", "q"], mode="nnf")
+        t = make_templates(f, d=1, hole_prob=rng.choice([0.2, 0.5]), seed=seed)[0]
+        closed = closed_formulas(t)
+        assume(closed)
+        sample = Sample(
+            tuple(random_trace(rng, rng.randint(1, 4), ["p", "q"])
+                  for _ in range(rng.randint(1, 2))),
+            PQ,
+        )
+        params = SemanticsParams(rng.choice([0.5, 0.9, 1.0]), rng.choice([0.8, 1.0]),
+                                 rng.choice([0.0, 0.1]), kind)
+        lp = export_milp(t, sample, params, d=t.depth)
+        _, _, bounds, binaries = _parse_lp(lp)
+        for i, g in closed.items():
+            for tr, trace in enumerate(sample.traces):
+                for pos, v in enumerate(evaluate(g, trace.states, kind, params)):
+                    assert bounds[f"y_{i}_{pos}_{tr}"] == [float(_fmt(v))] * 2
+                    sign = bounds.get(f"s_{i}_{pos}_{tr}")
+                    assert sign in (None, [float(v >= 0)] * 2)
+        assert not [b for b in binaries if slot_of(b) in closed]
+        orig = {format_formula(fl.formula) for fl in enumerate_fillings(t, PQ)}
+        back = {format_formula(fl.formula) for fl in enumerate_fillings(template_from_lp(lp), PQ)}
+        assert orig == back
+
+
 class TestTemplateRoundTrip:
     def test_rebuilt_template_enumerates_the_same_formulas(self):
         self.check_round_trip(disc())
@@ -194,6 +289,8 @@ FORCING_TEMPLATES = (
     # a hole that admits operators and literals: its literal pair is slack
     # whenever an operator fills it
     "X(?<2>)",
+    # a closed binary subtree beside a hole: constants read by open rows
+    "G(((p U q) ? ?<1>))",
 )
 
 
