@@ -86,6 +86,11 @@ class ProviderUnreachableError(JanakaError):
     """The LLM provider could not be reached or returned a malformed response."""
 
 
+class ProviderServerError(ProviderUnreachableError):
+    """The provider answered with a server error (HTTP status 500 or above);
+    a later request may succeed."""
+
+
 class RateLimitedError(JanakaError):
     """The provider rate-limited the request. ``retry_after``, a number or a
     Retry-After header's text, is kept only as finite, non-negative seconds:

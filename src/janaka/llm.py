@@ -23,6 +23,7 @@ from .errors import (
     AuthMissingError,
     JanakaError,
     NoValidFormulaError,
+    ProviderServerError,
     ProviderUnreachableError,
     RateLimitedError,
     UnsupportedNegationError,
@@ -264,7 +265,8 @@ class HttpChatProvider:
     http.client, whose time and memory a process that never posts is spared.
     HTTPS trusts the system CA store, as ssl's defaults do. Redirects are not
     followed: a 3xx raises ProviderUnreachableError naming its Location, and
-    so does an endpoint that is not an http(s) URL.
+    so does an endpoint that is not an http(s) URL. A status of 500 or above
+    raises ProviderServerError, which request_candidates retries.
     """
 
     def __init__(
@@ -330,7 +332,8 @@ class HttpChatProvider:
             raise ProviderUnreachableError(f"HTTP {status}: redirect to {location} not followed")
         if status >= 400:
             text = body.decode("utf-8", "replace")
-            raise ProviderUnreachableError(f"HTTP {status}: {text[:200]}")
+            error = ProviderServerError if status >= 500 else ProviderUnreachableError
+            raise error(f"HTTP {status}: {text[:200]}")
         try:
             return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -435,34 +438,44 @@ def extract_candidates(text: str, props: PropositionSet):
 
 
 def request_candidates(
-    provider, bundle: PromptBundle, max_retries: int = 2
+    provider, bundle: PromptBundle, max_retries: int = 2, deadline: float | None = None
 ) -> CandidateSet:
     """Query the provider, extract and validate formulas, re-request on failure.
 
     A response is accepted when it yields at least one formula and no invalid
-    candidate. A rate-limited request is retried too, after sleeping the
-    provider's ``retry_after`` when it gives one. After retries are
-    exhausted, the valid formulas of the most recent response carrying any
-    are returned; with none at all, the last request's RateLimitedError is
-    raised if it was rate-limited, and NoValidFormulaError otherwise.
+    candidate. A server error is retried like a response without formulas,
+    and a rate-limited request after sleeping the provider's ``retry_after``
+    when it gives one; a sleep that would end past ``deadline`` (a
+    ``time.monotonic()`` value) is not taken, and no request follows. After
+    retries are exhausted, the valid formulas of the most recent response
+    carrying any are returned; with none at all, the last request's
+    RateLimitedError or ProviderServerError is raised if it failed so, and
+    NoValidFormulaError otherwise.
     """
     messages = bundle.messages()
     latency = 0.0
     fallback: list[Formula] = []
     fallback_raw = ""
-    limited: RateLimitedError | None = None
+    failed: RateLimitedError | ProviderServerError | None = None
     for attempt in range(max_retries + 1):
         start = time.perf_counter()
         try:
             text = provider.complete(messages)
+        except ProviderServerError as exc:
+            latency += time.perf_counter() - start
+            failed = exc
+            continue
         except RateLimitedError as exc:
             latency += time.perf_counter() - start
-            limited = exc
-            if exc.retry_after and attempt < max_retries:
-                time.sleep(exc.retry_after)
+            failed = exc
+            wait = exc.retry_after
+            if wait and attempt < max_retries:
+                if deadline is not None and time.monotonic() + wait > deadline:
+                    break
+                time.sleep(wait)
             continue
         latency += time.perf_counter() - start
-        limited = None
+        failed = None
         formulas, invalid = extract_candidates(text, bundle.props)
         if formulas and not invalid:
             return CandidateSet(tuple(formulas), text, provider.provider_id, latency)
@@ -470,8 +483,8 @@ def request_candidates(
             fallback, fallback_raw = formulas, text
     if fallback:
         return CandidateSet(tuple(fallback), fallback_raw, provider.provider_id, latency)
-    if limited is not None:
-        raise limited
+    if failed is not None:
+        raise failed
     raise NoValidFormulaError(
         f"no parseable formula after {max_retries + 1} request(s)"
     )

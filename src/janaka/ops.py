@@ -101,16 +101,19 @@ The scans round differently from a per-position rescan of the suffix that
 sums the alpha^i terms as written above; tests/test_kernels.py keeps such
 rescans as the reference and holds the scans to 1e-12 relative of them.
 Equal bit for bit: robust G's -beta case and its flag, the gamma cases of F
-and U, the bound's constant lows, and every kernel of X, the literals, the
-boolean connectives, the qualitative semantics and the decisive flags. The
-MILP export (:mod:`janaka.milp`) encodes the same robust and discounted
-scans: each position's rows read only the next position's auxiliaries.
+and U, the bound's constant lows, the F and U highs' gamma terms (read from a
+table built once per (alpha, gamma, b, list length) with the expression
+``b*gamma*alpha**(n-t)`` that the scan would write per position), and every
+kernel of X, the literals, the boolean connectives, the qualitative semantics
+and the decisive flags. The MILP export (:mod:`janaka.milp`) encodes the same
+robust and discounted scans: each position's rows read only the next
+position's auxiliaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 TRUE_ATOM = "true"
@@ -543,19 +546,30 @@ def _disc_until(p, lv, rv, *, segments=None):
     return out
 
 
+@lru_cache(maxsize=256, typed=True)
+def _gamma_terms(a, g, b, n):
+    # b*gamma*alpha^(end-t) at t = end-1, end-2, ..., end-n, by the same
+    # expression, so the terms are bit-identical to per-position ones; typed,
+    # so an int parameter's terms stay ints
+    return tuple(b * g * a ** k for k in range(1, n + 1))
+
+
 def _rob_witness_highs(p, hs, b, segments):
     # h_t = max(hs[t], alpha*h_(t+1)) with h = 0 at the trace end, so a
     # negative high never wins: the F and U value kernels' alpha-chain on the
     # highs, so the bound dominates their values in floats; then the max of
-    # b*h with the gamma term b*gamma*alpha^(end-t) (b = 1.0 for U is exact)
+    # b*h with the gamma term b*gamma*alpha^(end-t) (b = 1.0 for U is exact),
+    # read from one table per (alpha, gamma, b, list length), which covers
+    # the longest trace
     a, g = p.alpha, p.gamma
     out = [0.0] * len(hs)
+    terms = _gamma_terms(a, g, b, len(hs))
     for start, end in _traces(segments, len(hs)):
         h = 0.0
-        for t in range(end - 1, start - 1, -1):
+        for t, gt in zip(range(end - 1, start - 1, -1), terms):
             v, ah = hs[t], a * h
             h = ah if ah > v else v
-            gt, bh = b * g * a ** (end - t), b * h
+            bh = b * h
             out[t] = bh if bh > gt else gt
     return out
 

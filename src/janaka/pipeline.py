@@ -190,6 +190,7 @@ def janaka_run(
     """Run the full mining pipeline; inputs may be injected to bypass files."""
     cfg.validate()
     t_start = time.perf_counter()
+    deadline = time.monotonic() + cfg.budget.time_limit  # for provider retries
     notes: list[str] = []
     if sample is None:
         sample = load_sample(cfg)
@@ -201,7 +202,7 @@ def janaka_run(
         provider = make_provider(cfg)
 
     bundle = build_prompt(sample, explanation, mode=cfg.mode, n=cfg.n_candidates)
-    cands = request_candidates(provider, bundle, max_retries=cfg.max_retries)
+    cands = request_candidates(provider, bundle, cfg.max_retries, deadline)
     t_llm = time.perf_counter()
 
     ranked = top_k(cands, sample, cfg.semantics, k=len(cands.formulas))

@@ -62,10 +62,18 @@ a missing one is computed. Value vectors are also kept per id: equal ids
 are equal formulas, so a non-root slot whose id already has a vector takes
 it and calls no kernel (the root's ids rarely repeat and are not kept).
 Fixed subtrees, literal vectors and the value ranges of open holes are
-computed once per table. The bound and the leaf score sum the root's entry
-at the trace starts in trace order and divide by the trace count, as
-:func:`janaka.semantics.sample_fitness` does, so leaf scores equal it bit for
-bit.
+computed once per table.
+
+The table is a compiled recompute plan: a slot labelled with an operator
+holds that label's :class:`_Row`, compiled the first time the slot takes the
+label, with its children's slots and, per entry, the kernel and the
+children's entries it reads. Recomputing an entry or an id takes each
+child's where it lies and recurses only into a child without one. The bound
+and the leaf score read the root at the trace starts only, summed in trace
+order and divided by the trace count, as
+:func:`janaka.semantics.sample_fitness` does, so leaf scores equal it bit
+for bit; a root labelled ``&``, ``|`` or ``->``, whose kernels read each
+position alone, computes its entries at the trace starts only.
 
 What a search did is counted in :class:`SearchStats`.
 """
@@ -76,7 +84,10 @@ import itertools
 import logging
 import time
 from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     EmptySampleError,
@@ -109,12 +120,15 @@ from .ops import (
     BINARY_OPS,
     FINALLY,
     GLOBALLY,
+    IMPLIES,
     NEGATION,
     NEXT,
     OPS,
     OR,
     UNARY_OPS,
     UNTIL,
+    Endpoint,
+    Op,
     arity,
     literal_values,
 )
@@ -126,6 +140,7 @@ log = logging.getLogger("janaka.repair")
 
 _STACKING = (GLOBALLY, FINALLY)  # directly nested, these are degenerate
 _TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
+_ELEMENTWISE = (AND, OR, IMPLIES)  # their kernels read each position alone
 
 # why a search stopped
 EXHAUSTED, TIME, NODES = "exhausted", "time", "nodes"
@@ -275,6 +290,32 @@ class _View:
                 self.steps.append((i, 0, offer(getattr(parent, "label", None)), unused))
 
 
+LOW, HIGH, VALUE = 0, 1, 2  # a slot's entries: the bound's low and high, the value vector
+
+
+class _Row(NamedTuple):
+    """A slot's compiled recompute plan under one operator label: the
+    operator, its children's slots, and per entry (:data:`LOW`, :data:`HIGH`,
+    :data:`VALUE`) the kernel that computes it with the (child slot, entry)
+    pairs it reads, the endpoints' from :meth:`janaka.ops.Op.endpoint`.
+    ``at`` lists where the slot's entries hold the trace starts."""
+
+    op: Op
+    kids: tuple[int, ...]
+    steps: tuple[tuple[Callable, tuple[tuple[int, int], ...]], ...]
+    at: Sequence[int]
+
+
+def _at_starts(kernel, starts):
+    # an elementwise kernel over its arguments at the trace starts only;
+    # itemgetter of a single index returns the item, not a 1-tuple
+    pick = itemgetter(*starts) if len(starts) > 1 else lambda v: (v[starts[0]],)
+
+    def run(p, *vectors, segments):
+        return kernel(p, *map(pick, vectors))
+    return run
+
+
 class _SlotTable:
     """Per-slot bound endpoints, value vectors and verdict ids of one template
     over one sample under one set of parameters (module docstring). Holes get
@@ -282,6 +323,9 @@ class _SlotTable:
     of its ancestors; :meth:`bound`, :meth:`fitness` and :meth:`verdict` read
     the labels as they stand. Without a sample it decodes formulas and
     verdicts only.
+
+    :meth:`_entry` and :meth:`_id` read an operator slot's :class:`_Row`;
+    the root's under ``& | ->`` reads its children at the trace starts only.
 
     ``recomputed`` counts kernel calls: a slot's value vector or endpoint
     computed by its operator's kernel (leaves are read from the per-table
@@ -297,16 +341,21 @@ class _SlotTable:
         self.heights = template.heights
         self.holes = template.hole_indices
         size = max(template.slot_map, default=0) + 1
-        # per slot index: an unresolved hole is "?", an unused one None
+        # per slot index: an unresolved hole is "?", an unused one None, and
+        # an operator label's row
         self.label: list = [None] * size
+        self._rows: list = [None] * size
+        self._compiled: list[dict] = [{} for _ in range(size)]  # per slot: label -> row
         for i, slot in template.slots:
-            self.label[i] = slot.label if isinstance(slot, Fixed) else "?"
+            label = self.label[i] = slot.label if isinstance(slot, Fixed) else "?"
+            self._rows[i] = self._compiled[i][label] = self._compile(i, label)
         # per hole, the slots whose subtree holds it: i, i >> 1, ..., 1
         self._paths = {i: tuple(i >> k for k in range(i.bit_length())) for i in self.holes}
         # per slot: the bound's low and high, the value vector and the id
         self._lows: list = [None] * size
         self._highs: list = [None] * size
         self._values: list = [None] * size
+        self._entries = (self._lows, self._highs, self._values)  # by LOW, HIGH, VALUE
         self._vids: list = [None] * size
         self._memo: dict[int, array] = {}  # non-root value vectors by id
         self._literals: dict = {}
@@ -328,54 +377,67 @@ class _SlotTable:
         if self.label[i] == label:
             return
         self.label[i] = label
+        try:
+            self._rows[i] = self._compiled[i][label]
+        except KeyError:
+            self._rows[i] = self._compiled[i][label] = self._compile(i, label)
         lows, highs, values, vids = self._lows, self._highs, self._values, self._vids
         for j in self._paths[i]:
             lows[j] = highs[j] = values[j] = vids[j] = None
 
-    def _endpoint(self, i, high: bool):
-        """Slot i's low (high=False) or high, from the endpoints of its
-        children that its operator reads (:meth:`janaka.ops.Op.endpoint`)."""
-        entries = self._highs if high else self._lows
+    def _compile(self, i: int, label: str | None) -> _Row | None:
+        """Slot i's row under an operator label; None under any other."""
+        op = OPS.get(label)
+        if op is None:
+            return None
+        kids = tuple(2 * i + k for k in range(op.arity))
+        p, at = self.params, self.starts
+        if p is None:  # decoding only
+            return _Row(op, kids, (), at)
+        steps = [*(op.endpoint(p.kind, high) for high in (False, True)),
+                 (getattr(op, p.kind), tuple((k, VALUE) for k in range(op.arity)))]
+        if i == 1 and label in _ELEMENTWISE:
+            # the root is read at the trace starts only
+            steps = [(_at_starts(kernel, at), reads) for kernel, reads in steps]
+            at = range(len(at))
+        steps = [(kernel, tuple((2 * i + k, e) for k, e in reads)) for kernel, reads in steps]
+        return _Row(op, kids, tuple(steps), at)
+
+    def _entry(self, i, e: int):
+        """Slot i's entry e (:data:`LOW`, :data:`HIGH` or :data:`VALUE`),
+        from the children's entries its row reads; a non-root slot whose id
+        has a value vector in the memo takes it, and calls no kernel."""
+        entries = self._entries[e]
         out = entries[i]
         if out is not None:
             self.hits += 1
             return out
-        label = self.label[i]
-        op = OPS.get(label)
-        if op is None:
-            out = self._open(self.heights[i])[high] if label == "?" else self._literal(label)
-        else:
-            self.recomputed += 1
-            p = self.params
-            kernel, reads = op.endpoint(p.kind, high)
-            out = kernel(p, *[self._endpoint(2 * i + k, h) for k, h in reads],
-                         segments=self.segments)
-        entries[i] = out
-        return out
-
-    def _value(self, i):
-        """Slot i's value vector; a non-root slot whose id has one in the
-        memo takes it, and calls no kernel."""
-        out = self._values[i]
-        if out is not None:
-            self.hits += 1
-            return out
-        label = self.label[i]
-        op = OPS.get(label)
-        if op is None:
-            if label == "?":
+        row = self._rows[i]
+        if row is None:
+            label = self.label[i]
+            if label != "?":
+                out = self._literal(label)
+            elif e == VALUE:
                 raise ValueError(f"slot {i} is unassigned")
-            out = self._literal(label)
-        elif i > 1 and (out := self._memo.get(self._id(i))) is not None:
+            else:
+                out = self._open(self.heights[i])[e]
+        elif e == VALUE and i > 1 and (out := self._memo.get(self._id(i))) is not None:
             self.shared += 1
         else:
             self.recomputed += 1
-            p = self.params
-            out = getattr(op, p.kind)(p, *[self._value(2 * i + k) for k in range(op.arity)],
-                                      segments=self.segments)
-            if i > 1:
+            kernel, reads = row.steps[e]
+            args = []
+            for j, k in reads:
+                got = self._entries[k][j]
+                if got is None:
+                    got = self._entry(j, k)
+                else:
+                    self.hits += 1
+                args.append(got)
+            out = kernel(self.params, *args, segments=self.segments)
+            if e == VALUE and i > 1:
                 self._memo[self._vids[i]] = array("d", out)
-        self._values[i] = out
+        entries[i] = out
         return out
 
     def _literal(self, label: str):
@@ -396,20 +458,30 @@ class _SlotTable:
 
     def _id(self, i) -> int:
         """Slot i's interned id, every hole below which is decided."""
-        vid = self._vids[i]
+        vids = self._vids
+        vid = vids[i]
         if vid is not None:
             return vid
-        label = self.label[i]
-        op = OPS.get(label)
-        if op is None:
+        row = self._rows[i]
+        if row is None:
+            label = self.label[i]
             if label == "?":
                 raise ValueError(f"slot {i} is unassigned")
             vid = self._ids.get(label)
             if vid is None:
                 vid = self._intern(label, True, None)
         else:
-            vid = self._node_id(op, [self._id(2 * i + k) for k in range(op.arity)])
-        self._vids[i] = vid
+            # loops here, not comprehensions: before CPython 3.12 each
+            # comprehension is a call of its own
+            key = [row.op.label]
+            for j in row.kids:
+                k = vids[j]
+                key.append(k if k is not None else self._id(j))
+            key = tuple(key)
+            vid = self._ids.get(key)
+            if vid is None:
+                vid = self._judge(row.op, key)
+        vids[i] = vid
         return vid
 
     def _intern(self, key, propositional: bool, rule: str | None) -> int:
@@ -419,17 +491,16 @@ class _SlotTable:
         self._rules.append(rule)
         return vid
 
-    def _node_id(self, op, kids) -> int:
-        """The id of the node over its children's ids, judged once per id by
+    def _judge(self, op, key) -> int:
+        """Interns a new operator node's key, (label, *child ids), judged by
         the closed-subtree rules of :func:`triviality_filter`; GG and FF are
         the enumeration's cut."""
-        key = (op.label, *kids)
-        vid = self._ids.get(key)
-        if vid is not None:
-            return vid
+        kids = key[1:]
         props, rules = self._propositional, self._rules
-        propositional = op.label not in _TEMPORAL and all(props[k] for k in kids)
-        rule = next((rules[k] for k in kids if rules[k]), None)  # a trivial child's
+        propositional, rule = op.label not in _TEMPORAL, None
+        for k in kids:
+            propositional = propositional and props[k]
+            rule = rule or rules[k]  # the first trivial child's
         if rule is None:
             if op.arity == 2:
                 left, right = kids
@@ -455,19 +526,20 @@ class _SlotTable:
 
     def bound(self) -> float:
         """Mean over the traces of the root's high at each trace start."""
-        highs = self._endpoint(1, True)
-        total = 0.0
-        for start in self.starts:
-            total += highs[start]
-        return total / len(self.starts)
+        return self._mean(self._entry(1, HIGH))
 
     def fitness(self) -> float:
         """sample_fitness of the formula of the labels as they stand, every
         hole of which must be decided."""
-        vals = self._value(1)
+        return self._mean(self._entry(1, VALUE))
+
+    def _mean(self, entry) -> float:
+        # the root's entry at the trace starts, summed in trace order and
+        # divided by the trace count, as sample_fitness does
+        row = self._rows[1]
         total = 0.0
-        for start in self.starts:
-            total += vals[start]
+        for k in self.starts if row is None else row.at:
+            total += entry[k]
         return total / len(self.starts)
 
     def verdict(self, i: int = 1) -> int:

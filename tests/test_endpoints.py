@@ -5,10 +5,13 @@ verbatim: the two-sided interval kernels and the builtin value kernels.
 Results must be equal bit for bit: values are compared by repr, which tells
 -0.0 from 0.0 and prints every float exactly."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from janaka import ops
 from janaka.ops import IMPLIES, NEGATION, OPS
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams
 
@@ -236,6 +239,32 @@ class TestEndpoints:
         p = SemanticsParams(0.9, 0.8, 0.1, ROBUST)
         assert OPS["F"].interval(p, ([-1.0, 2.0], [1.0, 2.0]))[0] == [0.0, 0.0]
         assert OPS["U"].interval(p, ([], []), ([], [])) == ([], [])
+
+
+class TestGammaTable:
+    """The witness highs read their gamma terms from a table built once per
+    (alpha, gamma, b, list length) with the expression the scan above writes
+    per position."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.97])
+    def test_witness_highs_over_lengths_1_to_300(self, alpha):
+        ops._gamma_terms.cache_clear()
+        rng = random.Random(alpha)
+        special = [-1.0, -0.0, 0.0, 1.0, 0.1, -0.1]
+        # single traces of rising length, each needing a table longer than
+        # any built before, then samples mixing long and short traces
+        samples = [[n] for n in range(1, 301)] + [[300, 1, 37], [5, 299, 2], [1, 1, 1]]
+        for beta in (0.8, 1.0):
+            for gamma in (0.0, 0.1):
+                p = SemanticsParams(alpha, beta, gamma, ROBUST)
+                for lengths in samples:
+                    hs = [rng.choice(special) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+                          for _ in range(sum(lengths))]
+                    # without segments the list is one trace
+                    for segments in (segments_of(lengths), None)[:len(lengths)]:
+                        for b in (beta, 1.0):
+                            same(ops._rob_witness_highs(p, hs, b, segments),
+                                 _rob_witness_highs(p, hs, b, segments))
 
 
 class TestComparisonsForBuiltins:

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import janaka
-from janaka import cli
+from janaka import cli, pipeline
 from janaka import llm as llm_mod
 from janaka.errors import (
     AuthMissingError,
     NoValidFormulaError,
+    ProviderServerError,
     ProviderUnreachableError,
     RateLimitedError,
 )
@@ -40,6 +41,7 @@ from janaka.llm import (
     request_candidates,
     top_k,
 )
+from janaka.repair import SearchBudget
 from janaka.semantics import DISCOUNTED, SemanticsParams
 from janaka.traces import Sample, Trace
 
@@ -217,6 +219,29 @@ class TestRequestCandidates:
         assert provider.calls == 3
         assert slept == [1.0, 1.0]  # none after the last request
 
+    @pytest.mark.parametrize("retry_after", [3600.0, 0.5])
+    def test_retry_after_is_bounded_by_the_run_budget(self, monkeypatch, retry_after):
+        # a Retry-After that would end past the run's 5 s budget is not
+        # slept and ends the run with the rate limit (exit code 12)
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = ScriptedProvider([RateLimitedError("busy", retry_after=retry_after), FIVE])
+        cfg = pipeline.RunConfig(semantics=SemanticsParams(kind=DISCOUNTED), kappa=0.0,
+                                 budget=SearchBudget(time_limit=5.0))
+
+        def run():
+            return pipeline.janaka_run(cfg, sample=sample_pq(), explanation="hello",
+                                       provider=provider)
+
+        if retry_after > 5.0:
+            with pytest.raises(RateLimitedError) as info:
+                run()
+            assert cli.exit_code_for(info.value) == 12
+            assert (slept, provider.calls) == ([], 1)
+        else:
+            assert run().path == "llm-direct"
+            assert (slept, provider.calls) == ([0.5], 2)
+
     def test_rate_limit_after_a_partial_response_keeps_it(self, monkeypatch):
         monkeypatch.setattr(llm_mod.time, "sleep", lambda s: None)
         partial = "```\nG(p)\nF(q)\nF(p &&& q)\n```"
@@ -279,7 +304,8 @@ class TestTopK:
 
 class StubHandler(http.server.BaseHTTPRequestHandler):
     """Records each POST and answers with the server's `reply`:
-    (status, headers, body), or raw bytes sent instead of an HTTP response.
+    (status, headers, body), or raw bytes sent instead of an HTTP response,
+    or a list of these, one per request.
     A GET, which only a followed redirect would send, is recorded too."""
 
     def do_GET(self):
@@ -290,6 +316,8 @@ class StubHandler(http.server.BaseHTTPRequestHandler):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         self.server.seen.append((self.headers, json.loads(body)))
         reply = self.server.reply
+        if isinstance(reply, list):  # one reply per request, in turn
+            reply = reply.pop(0)
         if isinstance(reply, bytes):
             self.wfile.write(reply)
             return
@@ -394,12 +422,39 @@ class TestHttpProvider:
             request_candidates(provider, bundle, max_retries=1)
         assert slept == [2.0]
 
-    def test_server_error(self, stub):
+    def test_server_error(self, stub, tmp_path, monkeypatch):
         stub.reply = (500, {}, b"x" * 300)
-        with pytest.raises(ProviderUnreachableError) as info:
-            HttpChatProvider(stub.url, "m", api_key="k").complete([])
+        provider = HttpChatProvider(stub.url, "m", api_key="k")
+        with pytest.raises(ProviderServerError) as info:
+            provider.complete([])
         assert str(info.value) == "HTTP 500: " + "x" * 200
         assert cli.exit_code_for(info.value) == 11
+        # retried within max_retries, then raised
+        with pytest.raises(ProviderServerError) as info:
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5), max_retries=2)
+        assert len(stub.seen) == 1 + 3
+        assert cli.exit_code_for(info.value) == 11
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        (tmp_path / "explain.txt").write_text("p always holds")
+        monkeypatch.setenv("JANAKA_API_KEY", "k")
+        code = cli.main(["mine", "--provider", "http", "--endpoint", stub.url, "--model", "m",
+                         "--traces", str(tmp_path / "traces.txt"),
+                         "--explanation", str(tmp_path / "explain.txt")])
+        assert code == 11
+        assert len(stub.seen) == 4 + 3
+
+    def test_server_error_is_retried(self, stub):
+        stub.reply = [(500, {}, b"busy"), (200, {}, chat_reply(FIVE))]
+        provider = HttpChatProvider(stub.url, "m", api_key="k")
+        cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5), max_retries=2)
+        assert len(cands.formulas) == 5
+        assert len(stub.seen) == 2
+        # a client error is not retried
+        stub.reply = [(404, {}, b"no such model"), (200, {}, chat_reply(FIVE))]
+        with pytest.raises(ProviderUnreachableError, match="HTTP 404") as info:
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5), max_retries=2)
+        assert not isinstance(info.value, ProviderServerError)
+        assert len(stub.seen) == 3
 
     @pytest.mark.parametrize("body", [b"<html>not json</html>", b'{"choices": []}'],
                              ids=["not-json", "no-choice"])

@@ -611,23 +611,31 @@ class TestSlotTables:
                     i >>= 1
                 assert i > 1, f"a low outside every -> left side in {template}"
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
-           st.sampled_from(STRATEGIES))
-    def test_pushed_changes_equal_a_fresh_table(self, seed, kind, strategy):
+           st.sampled_from(STRATEGIES),
+           st.sampled_from([None, "(?<1> ? ?<1>)", "X((?<1> ? ?<1>))"]), st.booleans())
+    def test_pushed_changes_equal_a_fresh_table(self, seed, kind, strategy, text, short):
         # one table driven in the search's push/backtrack order (with random
         # prunes), then by out-of-order assignments, operator flips and holes
         # reset to "?": every bound, score and verdict equals a fresh table's
-        # and the references'
+        # and the references'. Besides made templates: a root hole, which
+        # flips between elementwise, temporal and literal rows, and a unary
+        # root; besides random samples, traces of one position each
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
-        [template] = make_templates(
-            stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
-            hole_prob=0.6, seed=seed,
-        )
+        if text is None:
+            [template] = make_templates(
+                stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
+                hole_prob=0.6, seed=seed,
+            )
+        else:
+            template = parse_template(text)
         if len(template.hole_indices) > 6:
             return
         sample, params = random_sample(rng, props), random_params(rng, kind)
+        if short:
+            sample = Sample(tuple(Trace(w.states[:1]) for w in sample.traces), props)
         view = _View(template, props)
         table = _SlotTable(template, sample, params)
         holes = list(template.hole_indices)
