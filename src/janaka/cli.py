@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: mine (the full pipeline), repair, eval, gen-traces, export-milp,
-bench. Exit codes: 0 success / threshold met, 2 best-effort (threshold or a
-suite check missed), >2 specific error classes (see EXIT_CODES).
+bench. A run setting is its flag's value, else its key in the INI file that
+--config names, else the default of its field in RunConfig, SemanticsParams
+or SearchBudget. Exit codes: 0 success / threshold met, 2 best-effort
+(threshold or a suite check missed), >2 specific error classes (see
+EXIT_CODES); any invalid setting or usage error exits 17, and `mine` exits
+so before it asks the provider.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import configparser
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import errors
@@ -19,12 +24,14 @@ from .errors import ConfigError, JanakaError
 from .formulas import PropositionSet, parse_formula
 from .milp import export_milp
 from .pipeline import (
-    AUTO,
+    CHOICES,
     RunConfig,
+    _outcome_dict,
     bench_run,
     eval_formula,
     format_bench_table,
     janaka_run,
+    setting_cast,
 )
 from .repair import SearchBudget, repair
 from .semantics import DISCOUNTED, ROBUST, SemanticsParams
@@ -68,6 +75,15 @@ def exit_code_for(exc: Exception) -> int:
     return 20
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits a usage error with ConfigError's code, as an invalid INI value
+    exits, not with argparse's 2, which here means best effort."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CODES[ConfigError], f"{self.prog}: error: {message}\n")
+
+
 def _add_semantics_flags(p: argparse.ArgumentParser):
     p.add_argument("--semantics", choices=[ROBUST, DISCOUNTED], default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -87,37 +103,61 @@ def _read_config(path: str | None) -> dict:
     return merged
 
 
-def _setting(args, config: dict, key: str, default, cast=None):
-    """The flag's value, else the INI text (cast when a cast is given), else
-    the default, which is returned as it is."""
+def _setting(args, config: dict, key: str, cast):
+    """The flag's value, else the INI text through `cast`, else None. An INI
+    text the cast refuses raises ConfigError naming the key."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
+    if value is not None or key not in config:
         return value
-    if key not in config:
-        return default
-    return config[key] if cast is None else cast(config[key])
+    try:
+        return cast(config[key])
+    except ValueError:
+        raise ConfigError(f"{key} = {config[key]!r} is not a valid {cast.__name__}") from None
 
 
-def _semantics(args, config) -> SemanticsParams:
-    return SemanticsParams(
-        alpha=float(_setting(args, config, "alpha", 0.9, float)),
-        beta=float(_setting(args, config, "beta", 0.9, float)),
-        gamma=float(_setting(args, config, "gamma", 0.1, float)),
-        kind=_setting(args, config, "semantics", ROBUST),
+def _given(args, config: dict, cls, **keys) -> dict:
+    """Keyword arguments for the dataclass `cls`, one per field that a flag or
+    INI key gives. A field's key is its name with '-' for '_', or the key
+    `keys` maps it to (None: the field is not read)."""
+    out = {}
+    for f in fields(cls):
+        key = keys.get(f.name, f.name.replace("_", "-"))
+        value = key and _setting(args, config, key, setting_cast(cls, f.name))
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
+def _checked(make, *args, **given):
+    """make(*args, **given), with a ValueError from its argument checks raised
+    as a ConfigError naming the settings given."""
+    try:
+        return make(*args, **given)
+    except ValueError as exc:
+        named = ", ".join(f"{k}={v!r}" for k, v in given.items())
+        raise ConfigError(f"{exc} ({named})") from None
+
+
+def _run_config(args) -> RunConfig:
+    """A command's run settings, each its flag, else its INI key, else the
+    default of its field."""
+    config = _read_config(args.config)
+    given = _given(args, config, RunConfig, traces_path="traces",
+                   explanation_path="explanation", semantics=None, budget=None)
+    props = given.pop("props", None)
+    semantics = _given(args, config, SemanticsParams, kind="semantics")
+    return RunConfig(
+        **given,
+        props=props.split(",") if props else None,
+        semantics=_checked(SemanticsParams, **semantics),
+        budget=_checked(SearchBudget, **_given(args, config, SearchBudget)),
     )
 
 
-def _budget(args, config) -> SearchBudget:
-    return SearchBudget(
-        time_limit=float(_setting(args, config, "time-limit", 60.0, float)),
-        node_limit=int(_setting(args, config, "node-limit", 1_000_000, int)),
-    )
-
-
-def _props(args, config: dict, text: str) -> PropositionSet:
-    """The flag's atoms, else the INI file's, else those the traces use."""
-    props = _setting(args, config, "props", None)
-    return PropositionSet(props.split(",")) if props else infer_props(text)
+def _sample(cfg: RunConfig):
+    """The traces file, read with the configured atoms, else those it uses."""
+    text = Path(cfg.traces_path).read_text()
+    return parse_traces(text, PropositionSet(cfg.props) if cfg.props else infer_props(text))
 
 
 def _write_out(text: str, out: str | None):
@@ -128,57 +168,24 @@ def _write_out(text: str, out: str | None):
 
 
 def cmd_mine(args) -> int:
-    config = _read_config(args.config)
-    props = _setting(args, config, "props", None)
-    cfg = RunConfig(
-        traces_path=_setting(args, config, "traces", None),
-        explanation_path=_setting(args, config, "explanation", None),
-        props=props.split(",") if props else None,
-        semantics=_semantics(args, config),
-        kappa=float(_setting(args, config, "kappa", 0.5, float)),
-        depth=int(_setting(args, config, "depth", 1, int)),
-        top=int(_setting(args, config, "top", 3, int)),
-        strategy=_setting(args, config, "strategy", AUTO),
-        hole_prob=float(_setting(args, config, "hole-prob", 0.2, float)),
-        provider=_setting(args, config, "provider", "mock"),
-        endpoint=_setting(args, config, "endpoint", None),
-        model=_setting(args, config, "model", None),
-        temperature=_setting(args, config, "temperature", None, float),
-        fixtures=_setting(args, config, "fixtures", None),
-        seed=int(_setting(args, config, "seed", 0, int)),
-        budget=_budget(args, config),
-        n_candidates=int(_setting(args, config, "n-candidates", 5, int)),
-        mode=_setting(args, config, "mode", "oneshot"),
-        template_count=int(_setting(args, config, "template-count", 4, int)),
-        max_retries=int(_setting(args, config, "max-retries", 2, int)),
-    )
-    report = janaka_run(cfg)
+    report = janaka_run(_run_config(args))
     _write_out(report.to_json(), args.out)
     return EXIT_OK if report.path in ("llm-direct", "repaired") else EXIT_BEST_EFFORT
 
 
 def cmd_repair(args) -> int:
-    config = _read_config(args.config)
-    text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, config, text))
+    cfg = _run_config(args)
+    sample = _sample(cfg)
     templates = [parse_template(t) for t in args.template]
-    outcome = repair(
-        sample, templates, _semantics(args, config),
-        kappa=float(_setting(args, config, "kappa", 0.5, float)),
-        budget=_budget(args, config),
-    )
-    from .pipeline import _outcome_dict
-
+    outcome = repair(sample, templates, cfg.semantics, kappa=cfg.kappa, budget=cfg.budget)
     _write_out(json.dumps(_outcome_dict(outcome, None), indent=2, sort_keys=True) + "\n",
                args.out)
     return EXIT_OK if outcome.threshold_met else EXIT_BEST_EFFORT
 
 
 def cmd_eval(args) -> int:
-    config = _read_config(args.config)
-    text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, config, text))
-    result = eval_formula(args.formula, sample, _semantics(args, config), both=args.both)
+    cfg = _run_config(args)
+    result = eval_formula(args.formula, _sample(cfg), cfg.semantics, both=args.both)
     _write_out(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -186,22 +193,19 @@ def cmd_eval(args) -> int:
 def cmd_gen_traces(args) -> int:
     props = PropositionSet(args.props.split(","))
     f = parse_formula(args.formula, props)
-    sample = generate_traces(
-        f, props, count=args.count, min_len=args.min_len, max_len=args.max_len,
-        seed=args.seed, budget=args.budget,
+    sample = _checked(
+        generate_traces, f, props, count=args.count, min_len=args.min_len,
+        max_len=args.max_len, seed=args.seed, budget=args.budget,
     )
     _write_out(serialize_sample(sample, pad_to=args.pad_to), args.out)
     return EXIT_OK
 
 
 def cmd_export_milp(args) -> int:
-    config = _read_config(args.config)
-    text = Path(args.traces).read_text()
-    sample = parse_traces(text, _props(args, config, text))
+    cfg = _run_config(args)
+    sample = _sample(cfg)
     template = parse_template(args.template)
-    depth = args.depth if args.depth else template.depth
-    lp = export_milp(template, sample, _semantics(args, config), d=depth)
-    _write_out(lp, args.out)
+    _write_out(export_milp(template, sample, cfg.semantics, d=template.depth), args.out)
     return EXIT_OK
 
 
@@ -212,7 +216,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="janaka",
         description="Mine LTL specifications from demonstration traces and explanations.",
     )
@@ -227,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--kappa", type=float, default=None)
     mine.add_argument("--depth", "-d", type=int, default=None, help="hole depth bound")
     mine.add_argument("--top", "-k", type=int, default=None, help="top-k candidates")
-    mine.add_argument("--strategy", default=None,
-                      choices=[AUTO, "gtemp", "random", "withgf"])
+    mine.add_argument("--strategy", choices=CHOICES["strategy"], default=None)
     mine.add_argument("--hole-prob", type=float, default=None)
-    mine.add_argument("--provider", choices=["mock", "http"], default=None)
+    mine.add_argument("--provider", choices=CHOICES["provider"], default=None)
     mine.add_argument("--endpoint", default=None)
     mine.add_argument("--model", default=None)
     mine.add_argument("--temperature", type=float, default=None)
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--time-limit", type=float, default=None)
     mine.add_argument("--node-limit", type=int, default=None)
     mine.add_argument("--n-candidates", type=int, default=None)
-    mine.add_argument("--mode", choices=["oneshot", "multishot"], default=None)
+    mine.add_argument("--mode", choices=CHOICES["mode"], default=None)
     mine.add_argument("--template-count", type=int, default=None)
     mine.add_argument("--max-retries", type=int, default=None)
     mine.add_argument("--config", default=None, help="INI config file")
@@ -286,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--traces", required=True)
     exp.add_argument("--props", default=None)
     _add_semantics_flags(exp)
-    exp.add_argument("--depth", type=int, default=None)
     exp.add_argument("--config", default=None)
     exp.add_argument("--out", default=None)
     exp.set_defaults(func=cmd_export_milp)

@@ -47,11 +47,25 @@ from .semantics import (
     satisfies_all,
     value_of,
 )
-from .templates import GTEMP, RANDOM, STRATEGIES, WITH_GF, make_templates
+from .templates import GTEMP, RANDOM, WITH_GF, make_templates
 from .traces import Sample, generate_traces, infer_props, parse_traces
 
 AUTO = "auto"
 STRATEGY_ORDER = (GTEMP, RANDOM, WITH_GF)
+# the values RunConfig.validate accepts for each named setting
+CHOICES = {
+    "strategy": (AUTO, *STRATEGY_ORDER),
+    "mode": (ONESHOT, MULTISHOT),
+    "provider": ("mock", "http"),
+}
+
+
+def setting_cast(cls, name: str):
+    """How a settings text becomes field `name` of the dataclass `cls`: by
+    int or float when the field is annotated so (``| None`` aside), else it
+    stays text."""
+    annotation = cls.__dataclass_fields__[name].type
+    return {"int": int, "float": float}.get(annotation.split(" ")[0], str)
 
 
 @dataclass
@@ -78,21 +92,23 @@ class RunConfig:
     max_retries: int = 2
 
     def validate(self):
+        """Refuse a setting no run could use; `janaka_run` calls this before
+        it reads an input or asks the provider."""
         if not math.isfinite(self.kappa):
             raise ConfigError("kappa must be finite")
         if self.semantics.kind == DISCOUNTED and self.kappa > 1.0:
             # discounted fitness lies in [0, 1]: such a mine could only fail
             raise ConfigError(f"kappa {self.kappa} is above 1, which no discounted fitness reaches")
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if self.top < 1:
-            raise ConfigError("top must be >= 1")
-        if self.strategy != AUTO and self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in (ONESHOT, MULTISHOT):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.provider not in ("mock", "http"):
-            raise ConfigError(f"unknown provider {self.provider!r}")
+        for name in ("depth", "top", "n_candidates", "template_count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not 0.0 < self.hole_prob <= 1.0:
+            raise ConfigError("hole_prob must be in (0, 1]")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
 
 
 @dataclass
@@ -123,29 +139,16 @@ class RunReport:
         return json.dumps(self.to_dict(zero_timings), indent=2, sort_keys=True) + "\n"
 
 
+# where a run's inputs come from, and the provider's sampling temperature,
+# are not echoed in the report
+_UNECHOED = ("traces_path", "explanation_path", "props", "endpoint", "temperature", "fixtures")
+
+
 def _params_echo(cfg: RunConfig) -> dict:
-    return {
-        "semantics": cfg.semantics.kind,
-        "alpha": cfg.semantics.alpha,
-        "beta": cfg.semantics.beta,
-        "gamma": cfg.semantics.gamma,
-        "kappa": cfg.kappa,
-        "depth": cfg.depth,
-        "top": cfg.top,
-        "strategy": cfg.strategy,
-        "hole_prob": cfg.hole_prob,
-        "seed": cfg.seed,
-        "n_candidates": cfg.n_candidates,
-        "mode": cfg.mode,
-        "provider": cfg.provider,
-        "model": cfg.model,
-        "budget": {
-            "time_limit": cfg.budget.time_limit,
-            "node_limit": cfg.budget.node_limit,
-        },
-        "template_count": cfg.template_count,
-        "max_retries": cfg.max_retries,
-    }
+    echo = {k: v for k, v in asdict(cfg).items() if k not in _UNECHOED}
+    echo.update(echo.pop("semantics"))
+    echo["semantics"] = echo.pop("kind")
+    return echo
 
 
 def _outcome_dict(outcome: RepairOutcome, strategy: str | None) -> dict:
@@ -187,10 +190,13 @@ def janaka_run(
     explanation: str | None = None,
     provider=None,
 ) -> RunReport:
-    """Run the full mining pipeline; inputs may be injected to bypass files."""
+    """Run the full mining pipeline; inputs may be injected to bypass files.
+
+    ``cfg.budget.time_limit`` bounds the whole run: the search gets what the
+    provider phase, Retry-After sleeps included, left of it."""
     cfg.validate()
     t_start = time.perf_counter()
-    deadline = time.monotonic() + cfg.budget.time_limit  # for provider retries
+    deadline = time.monotonic() + cfg.budget.time_limit
     notes: list[str] = []
     if sample is None:
         sample = load_sample(cfg)
@@ -211,96 +217,79 @@ def janaka_run(
         ok, _ = satisfies_all(f, sample)
         cand_rows.append({"formula": format_formula(f), "fitness": fit, "sat": ok})
 
-    best_formula, best_fit = ranked[0]
-    params = _params_echo(cfg)
-    if best_fit >= cfg.kappa:
-        t_end = time.perf_counter()
-        return RunReport(
-            formula=format_formula(best_formula),
-            path="llm-direct",
-            candidates=cand_rows,
-            repair=None,
-            params=params,
-            timings={
-                "llm_seconds": t_llm - t_start,
-                "repair_seconds": 0.0,
-                "total_seconds": t_end - t_start,
-            },
-            notes=notes,
-        )
-
-    # normalize the top-k candidates for template generation
-    sources: list[Formula] = []
-    for f, _fit in ranked[: cfg.top]:
-        try:
-            sources.append(f if is_nnf(f) else to_nnf(f))
-        except UnsupportedNegationError:
-            notes.append(f"skipped un-normalizable candidate: {format_formula(f)}")
-    if not sources:
-        raise NoTemplatesError("no top candidate could be normalized for templates")
-
-    strategies = STRATEGY_ORDER if cfg.strategy == AUTO else (cfg.strategy,)
+    best_fit = ranked[0][1]
     best_outcome: RepairOutcome | None = None
     best_strategy: str | None = None
-    time_left = cfg.budget.time_limit
-    nodes_left = cfg.budget.node_limit
-    for si, strategy in enumerate(strategies):
-        templates = []
-        for fi, source in enumerate(sources):
-            templates.extend(
-                make_templates(
-                    source,
-                    d=cfg.depth,
-                    strategy=strategy,
-                    hole_prob=cfg.hole_prob,
-                    seed=cfg.seed + 10007 * si + 101 * fi,
-                    count=cfg.template_count,
-                )
-            )
-        outcome = repair(
-            sample,
-            templates,
-            cfg.semantics,
-            cfg.kappa,
-            budget=SearchBudget(
-                time_limit=max(time_left, 0.01),
-                node_limit=max(nodes_left, 1),
-            ),
-        )
-        outcome.strategy = strategy
-        time_left -= outcome.elapsed
-        nodes_left -= outcome.explored
-        if best_outcome is None or (
-            outcome.best is not None
-            and (best_outcome.best is None or outcome.fitness > best_outcome.fitness)
-        ):
-            best_outcome, best_strategy = outcome, strategy
-        if outcome.threshold_met or time_left <= 0 or nodes_left <= 0:
-            break
+    chosen = cand_rows[0]["formula"]
+    if best_fit >= cfg.kappa:
+        path = "llm-direct"
+    else:
+        # normalize the top-k candidates for template generation
+        sources: list[Formula] = []
+        for f, _fit in ranked[: cfg.top]:
+            try:
+                sources.append(f if is_nnf(f) else to_nnf(f))
+            except UnsupportedNegationError:
+                notes.append(f"skipped un-normalizable candidate: {format_formula(f)}")
+        if not sources:
+            raise NoTemplatesError("no top candidate could be normalized for templates")
 
-    t_end = time.perf_counter()
-    met = best_outcome is not None and best_outcome.threshold_met
-    chosen = None
-    if best_outcome is not None and best_outcome.best is not None:
-        chosen = format_formula(best_outcome.best.formula)
-        if not met and best_fit > best_outcome.fitness:
-            chosen = cand_rows[0]["formula"]
+        strategies = STRATEGY_ORDER if cfg.strategy == AUTO else (cfg.strategy,)
+        nodes_left = cfg.budget.node_limit
+        for si, strategy in enumerate(strategies):
+            templates = []
+            for fi, source in enumerate(sources):
+                templates.extend(
+                    make_templates(
+                        source,
+                        d=cfg.depth,
+                        strategy=strategy,
+                        hole_prob=cfg.hole_prob,
+                        seed=cfg.seed + 10007 * si + 101 * fi,
+                        count=cfg.template_count,
+                    )
+                )
+            outcome = repair(
+                sample,
+                templates,
+                cfg.semantics,
+                cfg.kappa,
+                budget=SearchBudget(
+                    time_limit=max(deadline - time.monotonic(), 0.01),
+                    node_limit=max(nodes_left, 1),
+                ),
+            )
+            outcome.strategy = strategy
+            nodes_left -= outcome.explored
+            if best_outcome is None or (
+                outcome.best is not None
+                and (best_outcome.best is None or outcome.fitness > best_outcome.fitness)
+            ):
+                best_outcome, best_strategy = outcome, strategy
+            if outcome.threshold_met or time.monotonic() >= deadline or nodes_left <= 0:
+                break
+
+        path = "repaired" if best_outcome.threshold_met else "failed"
+        if best_outcome.best is None:
+            notes.append("repair produced no admissible formula; reporting top candidate")
+        elif path == "failed" and best_fit > best_outcome.fitness:
             notes.append(
                 f"top candidate fitness {best_fit:.6g} beats the repair incumbent's "
                 f"{best_outcome.fitness:.6g}; reporting top candidate"
             )
-    elif cand_rows:
-        chosen = cand_rows[0]["formula"]
-        notes.append("repair produced no admissible formula; reporting top candidate")
+        else:
+            chosen = format_formula(best_outcome.best.formula)
+
+    t_end = time.perf_counter()
     return RunReport(
         formula=chosen,
-        path="repaired" if met else "failed",
+        path=path,
         candidates=cand_rows,
         repair=_outcome_dict(best_outcome, best_strategy) if best_outcome else None,
-        params=params,
+        params=_params_echo(cfg),
         timings={
             "llm_seconds": t_llm - t_start,
-            "repair_seconds": t_end - t_llm,
+            "repair_seconds": t_end - t_llm if best_outcome else 0.0,
             "total_seconds": t_end - t_start,
         },
         notes=notes,
@@ -379,11 +368,13 @@ def run_case(case_dir: Path) -> dict:
     props = PropositionSet(atoms_in_order(parse_formula(formula_text)))
     ground_truth = parse_formula(formula_text, props)
 
-    kind = c.get("semantics", ROBUST)
-    params = SemanticsParams(
-        float(c.get("alpha", 0.9)), float(c.get("beta", 0.9)),
-        float(c.get("gamma", 0.1)), kind,
-    )
+    def given(cls, *names, **keys) -> dict:
+        """The fields of `cls` the case sets: each of `names` under its own
+        key, each of `keys` under the key it maps to."""
+        keys.update(zip(names, names))
+        return {n: setting_cast(cls, n)(c[k]) for n, k in keys.items() if k in c}
+
+    params = SemanticsParams(**given(SemanticsParams, "alpha", "beta", "gamma", kind="semantics"))
     sample = generate_traces(
         ground_truth,
         props,
@@ -395,20 +386,10 @@ def run_case(case_dir: Path) -> dict:
     )
     cfg = RunConfig(
         semantics=params,
-        kappa=float(c.get("kappa", 0.5)),
-        depth=int(c.get("depth", 1)),
-        top=int(c.get("top", 1)),
-        strategy=c.get("strategy", AUTO),
-        hole_prob=float(c.get("hole_prob", 0.3)),
-        provider="mock",
         fixtures=str(case_dir / "responses"),
-        seed=int(c.get("seed", 0)),
-        budget=SearchBudget(
-            time_limit=float(c.get("budget_seconds", 60.0)),
-            node_limit=int(c.get("node_limit", 1_000_000)),
-        ),
-        n_candidates=int(c.get("n_candidates", 5)),
-        template_count=int(c.get("template_count", 4)),
+        budget=SearchBudget(**given(SearchBudget, "node_limit", time_limit="budget_seconds")),
+        **given(RunConfig, "kappa", "depth", "top", "strategy", "hole_prob", "seed",
+                "n_candidates", "template_count"),
     )
     explanation = (case_dir / "explanation.txt").read_text()
     t0 = time.perf_counter()
@@ -428,7 +409,7 @@ def run_case(case_dir: Path) -> dict:
     return {
         "case": case_dir.name,
         "ground_truth": format_formula(ground_truth),
-        "semantics": kind,
+        "semantics": params.kind,
         "traces": len(sample.traces),
         "llm": llm,
         "final": {"formula": final_text, "fitness": final_fit, "sat": final_sat},

@@ -1,9 +1,12 @@
 import argparse
+import re
+from pathlib import Path
 
 import pytest
 
-from janaka import cli
+from janaka import cli, pipeline
 from janaka.errors import JanakaError
+from janaka.repair import SearchBudget
 
 
 class TestExitCodes:
@@ -31,22 +34,24 @@ class TestSetting:
         config = {"time-limit": "7.5"}
         flag = argparse.Namespace(time_limit=3.0)
         unset = argparse.Namespace(time_limit=None)
-        assert cli._setting(flag, config, "time-limit", 60.0, float) == 3.0
-        assert cli._setting(unset, config, "time-limit", 60.0, float) == 7.5
-        assert cli._setting(unset, {}, "time-limit", 60.0, float) == 60.0
-        assert cli._setting(argparse.Namespace(), {}, "time-limit", 60.0, float) == 60.0
+        assert cli._setting(flag, config, "time-limit", float) == 3.0
+        assert cli._setting(unset, config, "time-limit", float) == 7.5
+        assert cli._setting(unset, {}, "time-limit", float) is None
+        assert cli._setting(argparse.Namespace(), {}, "time-limit", float) is None
+        # with neither, the field's default applies
+        assert cli._given(unset, config, SearchBudget) == {"time_limit": 7.5}
+        assert cli._given(unset, {}, SearchBudget) == {}
+        assert cli._run_config(argparse.Namespace(config=None)).budget == SearchBudget()
 
     def test_cast_applies_to_ini_strings_only(self):
         def cast(text):
             return ("cast", text)
 
         config = {"kappa": "2"}
-        assert cli._setting(argparse.Namespace(kappa=None), config, "kappa", 1, cast) == ("cast", "2")
+        assert cli._setting(argparse.Namespace(kappa=None), config, "kappa", cast) == ("cast", "2")
         # a flag value, even a string, is taken as argparse typed it
-        assert cli._setting(argparse.Namespace(kappa="3"), config, "kappa", 1, cast) == "3"
-        assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", 1, cast) == 1
-        # a default is taken as the caller typed it, even a string
-        assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", "1", cast) == "1"
+        assert cli._setting(argparse.Namespace(kappa="3"), config, "kappa", cast) == "3"
+        assert cli._setting(argparse.Namespace(kappa=None), {}, "kappa", cast) is None
 
 
 class Captured(Exception):
@@ -136,3 +141,82 @@ class TestIniSettings:
         with pytest.raises(Captured):
             cli.main(["repair", "--traces", str(tmp / "traces.txt"), "--template", "G(?<1>)"])
         assert seen["kwargs"]["kappa"] == 0.5
+
+
+CASE1 = Path(cli.__file__).parent / "suites" / "table1" / "case1"
+
+# (command, the setting its error names, the flags that set it, the INI line
+# that sets it where the command reads an INI file)
+BAD_SETTINGS = [
+    ("mine", "hole_prob", ["--hole-prob", "0"], "hole-prob = 0"),
+    ("mine", "n_candidates", ["--n-candidates", "0"], "n-candidates = 0"),
+    ("mine", "template_count", ["--template-count", "0"], "template-count = 0"),
+    ("mine", "kappa", ["--kappa", "abc"], "kappa = abc"),
+    ("mine", "max_retries", ["--max-retries", "-1"], "max-retries = -1"),
+    ("mine", "strategy", ["--strategy", "bogus"], "strategy = bogus"),
+    ("eval", "alpha", ["--alpha", "2"], "alpha = 2"),
+    ("repair", "time_limit", ["--time-limit", "0"], "time-limit = 0"),
+    ("gen-traces", "count", ["--count", "0"], None),
+    ("gen-traces", "min_len", ["--min-len", "5", "--max-len", "3"], None),
+]
+
+
+def bad_setting_params():
+    for command, name, flags, line in BAD_SETTINGS:
+        yield pytest.param(command, name, flags, None, id=f"{command}-{name}-flag")
+        if line:
+            yield pytest.param(command, name, [], line, id=f"{command}-{name}-ini")
+
+
+class TestBadSettings:
+    """Every invalid setting exits 17 with one error line naming it, and
+    `mine` asks no provider."""
+
+    @pytest.mark.parametrize("command, name, flags, line", list(bad_setting_params()))
+    def test_exits_17_naming_the_setting(self, monkeypatch, capsys, tmp_path,
+                                         command, name, flags, line):
+        traces = tmp_path / "traces.txt"
+        traces.write_text("!p,!q,!r,s;p,q,!r,s;p,!q,!r,!s#\np,!q,!r,!s;!p,!q,r,s#\n")
+        # kappa 3.0 is above every case1 candidate's fitness, so a valid mine
+        # would go on to repair; a later section overrides an earlier one
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nkappa = 3.0\n" + (f"[probe]\n{line}\n" if line else ""))
+        inputs = ["--traces", str(traces), "--config", str(ini)]
+        argv = {
+            "mine": ["mine", *inputs, "--explanation", str(CASE1 / "explanation.txt"),
+                     "--fixtures", str(CASE1 / "responses")],
+            "eval": ["eval", "--formula", "G(p)", *inputs],
+            "repair": ["repair", "--template", "G(?<1>)", *inputs],
+            "gen-traces": ["gen-traces", "--formula", "F(p)", "--props", "p"],
+        }[command]
+        made, make = [], pipeline.make_provider
+        monkeypatch.setattr(pipeline, "make_provider",
+                            lambda cfg: made.append(make(cfg)) or made[-1])
+        try:
+            code = cli.main([*argv, *flags])
+        except SystemExit as exc:  # a usage error, raised by argparse
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 17
+        [message] = [row for row in err.splitlines() if "error:" in row]
+        assert re.search(name.replace("_", "[-_]"), message), message
+        assert "Traceback" not in err
+        assert sum(provider.calls for provider in made) == 0
+
+
+# the bundled table1 suite's rows, the runtime column aside
+TABLE1_ROWS = """\
+case               LLM formula                                SAT       FIT   repaired formula                               SAT       FIT
+case1              G((p -> X((F(q) & (r -> X(G(s)))))))       no      1.750   F(G((p -> G((F(s) & (r -> X(G(s))))))))        yes     3.307
+case2              G((q -> X(r)))                             no      1.062   G((q -> X(!q)))                                no      1.377
+case3              G(((a | b) -> X((G(c) U (d & F(e))))))     no      1.217   F(G(((a | b) -> X((G(!a) U (d & F(e)))))))     yes     1.614
+case4              G(((a | b) -> F((c & (X(d) U e)))))        no      1.869   G(((a & b) -> ((c & (X(!b) U e)) U b)))        yes     2.802
+case5              (F(p) -> F((r | s)))                       yes     0.729   G((F(p) -> F((r | s))))                        yes     2.420
+suite ok: False""".splitlines()
+
+
+def test_bench_table1_rows(capsys):
+    # exit 2: case2's repaired formula violates a trace (the suite's `sat` check)
+    assert cli.main(["bench", "--suite", "table1"]) == 2
+    out = capsys.readouterr().out
+    assert [re.sub(r"\s+(time|\d+\.\ds)$", "", row) for row in out.splitlines()] == TABLE1_ROWS

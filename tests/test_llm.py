@@ -41,7 +41,7 @@ from janaka.llm import (
     request_candidates,
     top_k,
 )
-from janaka.repair import SearchBudget
+from janaka.repair import SearchBudget, repair
 from janaka.semantics import DISCOUNTED, SemanticsParams
 from janaka.traces import Sample, Trace
 
@@ -241,6 +241,22 @@ class TestRequestCandidates:
         else:
             assert run().path == "llm-direct"
             assert (slept, provider.calls) == ([0.5], 2)
+
+    def test_search_gets_what_the_provider_phase_left(self, monkeypatch):
+        # one rate limit slept for 0.8 s of a 1.0 s budget: the search is
+        # handed what is left, not the whole second again
+        budgets = []
+
+        def spy(sample, templates, params, kappa, budget):
+            budgets.append(budget)
+            return repair(sample, templates, params, kappa, budget)
+
+        monkeypatch.setattr(pipeline, "repair", spy)
+        provider = ScriptedProvider([RateLimitedError("busy", retry_after=0.8), FIVE])
+        cfg = pipeline.RunConfig(kappa=100.0, budget=SearchBudget(time_limit=1.0))
+        pipeline.janaka_run(cfg, sample=sample_pq(), explanation="hello", provider=provider)
+        assert provider.calls == 2
+        assert budgets and budgets[0].time_limit <= 0.2
 
     def test_rate_limit_after_a_partial_response_keeps_it(self, monkeypatch):
         monkeypatch.setattr(llm_mod.time, "sleep", lambda s: None)

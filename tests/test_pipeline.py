@@ -33,7 +33,7 @@ SAMPLE = Sample(
 )
 
 
-def fixed_repair(text, budgets=None, explored=1, elapsed=0.0, met=False):
+def fixed_repair(text, budgets=None, explored=1, met=False):
     """A stand-in for pipeline.repair that always returns `text` as its
     incumbent, scored honestly, with the given search counts and threshold
     verdict; it appends each call's budget to `budgets`."""
@@ -49,7 +49,7 @@ def fixed_repair(text, budgets=None, explored=1, elapsed=0.0, met=False):
             total=sum(scores),
             per_trace=[(s, True) for s in scores],
             explored=explored,
-            elapsed=elapsed,
+            elapsed=0.0,
             threshold_met=met,
         )
 
@@ -109,15 +109,41 @@ class TestPaths:
         assert report.repair["strategy"] == pipeline.STRATEGY_ORDER[0]
 
     def test_budget_is_handed_on_less_what_each_strategy_spent(self, monkeypatch):
+        # the clock moves only as each search spends 0.25 s of it
+        now = [100.0]
+        monkeypatch.setattr(pipeline.time, "monotonic", lambda: now[0])
         budgets = []
-        monkeypatch.setattr(
-            pipeline, "repair", fixed_repair("G(!p)", budgets, explored=7, elapsed=0.25)
-        )
+        search = fixed_repair("G(!p)", budgets, explored=7)
+
+        def spend(*args, **kwargs):
+            now[0] += 0.25
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "repair", spend)
         report = mine(kappa=100.0, budget=SearchBudget(time_limit=10.0, node_limit=100))
         assert report.path == "failed"
         assert [(b.time_limit, b.node_limit) for b in budgets] == [
             (10.0, 100), (9.75, 93), (9.5, 86),
         ]
+
+
+class TestParamsEcho:
+    def test_the_seventeen_settings_a_report_echoes(self):
+        cfg = pipeline.RunConfig(
+            traces_path="t.txt", explanation_path="e.txt", props=["p"],
+            semantics=SemanticsParams(0.5, 0.6, 0.2, DISCOUNTED), kappa=0.7, depth=2, top=4,
+            strategy="random", hole_prob=0.3, provider="http", endpoint="http://localhost:1",
+            model="m", temperature=0.4, fixtures="f", seed=9,
+            budget=SearchBudget(time_limit=5.0, node_limit=77), n_candidates=6,
+            mode="multishot", template_count=2, max_retries=1,
+        )
+        assert pipeline._params_echo(cfg) == {
+            "semantics": "discounted", "alpha": 0.5, "beta": 0.6, "gamma": 0.2,
+            "kappa": 0.7, "depth": 2, "top": 4, "strategy": "random", "hole_prob": 0.3,
+            "seed": 9, "n_candidates": 6, "mode": "multishot", "provider": "http",
+            "model": "m", "budget": {"time_limit": 5.0, "node_limit": 77},
+            "template_count": 2, "max_retries": 1,
+        }
 
 
 class TestBenchRun:
