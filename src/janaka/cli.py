@@ -28,6 +28,8 @@ from .pipeline import (
     RunConfig,
     _outcome_dict,
     bench_run,
+    cast_setting,
+    checked,
     eval_formula,
     format_bench_table,
     janaka_run,
@@ -109,10 +111,7 @@ def _setting(args, config: dict, key: str, cast):
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None or key not in config:
         return value
-    try:
-        return cast(config[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {config[key]!r} is not a valid {cast.__name__}") from None
+    return cast_setting(key, config[key], cast)
 
 
 def _given(args, config: dict, cls, **keys) -> dict:
@@ -128,16 +127,6 @@ def _given(args, config: dict, cls, **keys) -> dict:
     return out
 
 
-def _checked(make, *args, **given):
-    """make(*args, **given), with a ValueError from its argument checks raised
-    as a ConfigError naming the settings given."""
-    try:
-        return make(*args, **given)
-    except ValueError as exc:
-        named = ", ".join(f"{k}={v!r}" for k, v in given.items())
-        raise ConfigError(f"{exc} ({named})") from None
-
-
 def _run_config(args) -> RunConfig:
     """A command's run settings, each its flag, else its INI key, else the
     default of its field."""
@@ -149,8 +138,8 @@ def _run_config(args) -> RunConfig:
     return RunConfig(
         **given,
         props=props.split(",") if props else None,
-        semantics=_checked(SemanticsParams, **semantics),
-        budget=_checked(SearchBudget, **_given(args, config, SearchBudget)),
+        semantics=checked(SemanticsParams, **semantics),
+        budget=checked(SearchBudget, **_given(args, config, SearchBudget)),
     )
 
 
@@ -193,7 +182,7 @@ def cmd_eval(args) -> int:
 def cmd_gen_traces(args) -> int:
     props = PropositionSet(args.props.split(","))
     f = parse_formula(args.formula, props)
-    sample = _checked(
+    sample = checked(
         generate_traces, f, props, count=args.count, min_len=args.min_len,
         max_len=args.max_len, seed=args.seed, budget=args.budget,
     )

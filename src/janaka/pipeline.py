@@ -68,6 +68,25 @@ def setting_cast(cls, name: str):
     return {"int": int, "float": float}.get(annotation.split(" ")[0], str)
 
 
+def cast_setting(key: str, text: str, cast):
+    """The settings text given under `key`, through `cast`; text the cast
+    refuses raises ConfigError naming the key."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text!r} is not a valid {cast.__name__}") from None
+
+
+def checked(make, *args, **given):
+    """make(*args, **given), with a ValueError from its argument checks raised
+    as a ConfigError naming the settings given."""
+    try:
+        return make(*args, **given)
+    except ValueError as exc:
+        named = ", ".join(f"{k}={v!r}" for k, v in given.items())
+        raise ConfigError(f"{exc} ({named})") from None
+
+
 @dataclass
 class RunConfig:
     traces_path: str | None = None
@@ -132,16 +151,18 @@ class RunReport:
             "notes": self.notes,
         }
         if zero_timings and out["repair"] is not None:
-            out["repair"] = dict(out["repair"], elapsed=0.0)
+            stats = out["repair"]["stats"]
+            incumbents = [(0.0, *row[1:]) for row in stats["incumbents"]]
+            out["repair"] = dict(out["repair"], elapsed=0.0,
+                                 stats=dict(stats, incumbents=incumbents))
         return out
 
     def to_json(self, zero_timings: bool = False) -> str:
         return json.dumps(self.to_dict(zero_timings), indent=2, sort_keys=True) + "\n"
 
 
-# where a run's inputs come from, and the provider's sampling temperature,
-# are not echoed in the report
-_UNECHOED = ("traces_path", "explanation_path", "props", "endpoint", "temperature", "fixtures")
+# where a run's inputs come from is not echoed in the report
+_UNECHOED = ("traces_path", "explanation_path", "props", "endpoint", "fixtures")
 
 
 def _params_echo(cfg: RunConfig) -> dict:
@@ -372,22 +393,28 @@ def run_case(case_dir: Path) -> dict:
         """The fields of `cls` the case sets: each of `names` under its own
         key, each of `keys` under the key it maps to."""
         keys.update(zip(names, names))
-        return {n: setting_cast(cls, n)(c[k]) for n, k in keys.items() if k in c}
+        return {n: cast_setting(k, c[k], setting_cast(cls, n)) for n, k in keys.items() if k in c}
 
-    params = SemanticsParams(**given(SemanticsParams, "alpha", "beta", "gamma", kind="semantics"))
-    sample = generate_traces(
+    def integer(key: str, default: int) -> int:
+        return cast_setting(key, c[key], int) if key in c else default
+
+    params = checked(SemanticsParams,
+                     **given(SemanticsParams, "alpha", "beta", "gamma", kind="semantics"))
+    sample = checked(
+        generate_traces,
         ground_truth,
         props,
-        count=int(c.get("count", 10)),
-        min_len=int(c.get("min_len", 3)),
-        max_len=int(c.get("max_len", 6)),
-        seed=int(c.get("gen_seed", 7)),
-        budget=int(c.get("gen_budget", 200000)),
+        count=integer("count", 10),
+        min_len=integer("min_len", 3),
+        max_len=integer("max_len", 6),
+        seed=integer("gen_seed", 7),
+        budget=integer("gen_budget", 200000),
     )
     cfg = RunConfig(
         semantics=params,
         fixtures=str(case_dir / "responses"),
-        budget=SearchBudget(**given(SearchBudget, "node_limit", time_limit="budget_seconds")),
+        budget=checked(SearchBudget,
+                       **given(SearchBudget, "node_limit", time_limit="budget_seconds")),
         **given(RunConfig, "kappa", "depth", "top", "strategy", "hole_prob", "seed",
                 "n_candidates", "template_count"),
     )

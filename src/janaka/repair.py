@@ -16,6 +16,23 @@ slot below them unreached are dropped when compiling, so no branch dies
 later. One explicit stack walks the hole decisions (:func:`_assignments`);
 fixed slots take no step.
 
+Branching is best bound first, per hole. When the search reaches a hole that
+is not the last one and has more to offer than "unused", it sets each offered
+label in turn, reads the closed-subtree verdict (below) and then the bound,
+and descends into the labels that survive by descending bound; equal bounds
+keep their offer order, so the order is deterministic. Bounds are computed
+before the first incumbent exists too. A label's bound is stored with it,
+and when the search reaches the label it compares that bound with the
+incumbent as it then stands: strictly below, the branch is pruned with no
+new bound call. The last hole's labels are taken in offer order, since every
+leaf there is scored anyway. The order cannot change the result of an
+exhausted search: the incumbent order is total (higher fitness first, then
+the tie-break key) and every prune is admissible and strict, so the chosen
+formula, its fitness and its per-trace scores are the same in any order;
+only which leaves are scored (``explored``) and the counts of
+:class:`SearchStats` depend on it. :func:`enumerate_fillings` passes no
+bound and gets the offer order.
+
 Triviality. A filling is rejected exactly when :func:`triviality_filter`
 rejects its formula, but the search never walks a leaf to decide it:
 
@@ -183,7 +200,19 @@ class SearchStats:
     vectors served as a slot still held them, and ``value_shared`` the value
     vectors served by their subtree's id from the memo, with no kernel call.
     ``cut_by_rule`` and ``rejected_by_rule`` split ``cut_closed`` and
-    ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`)."""
+    ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`).
+
+    ``bound_calls`` counts the bounds that rank a hole's labels (module
+    docstring, "Branching"): one per label offered at every hole but the
+    last, that the closed-subtree cut keeps. ``prunes`` counts the ranked
+    labels abandoned when reached, their stored bound strictly below the
+    incumbent; each was one bound call, so ``prunes <= bound_calls``. The
+    order of the ranking changes these counts, never the answer.
+    ``incumbents`` lists ``(t, template index, scored, fitness)`` for each
+    change of the incumbent: the seconds since the search began, the
+    template's index in the list searched, the leaves scored so far and the
+    new incumbent's fitness (a change at equal fitness is a smaller
+    tie-break key)."""
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
@@ -191,13 +220,14 @@ class SearchStats:
     rejected_trivial: int = 0  # leaves whose verdict is trivial
     scored: int = 0  # leaves scored; equals RepairOutcome.explored
     bound_calls: int = 0
-    prunes: int = 0  # bound calls that abandoned a branch
+    prunes: int = 0  # ranked labels abandoned on their stored bound
     slot_recomputed: int = 0  # kernel calls of the slot tables
     slot_hits: int = 0  # slot-table entries served as held
     value_shared: int = 0  # value vectors served by id, no kernel call
     stop: str = EXHAUSTED  # exhausted | time | nodes
     cut_by_rule: dict[str, int] = field(default_factory=_per_rule)
     rejected_by_rule: dict[str, int] = field(default_factory=_per_rule)
+    incumbents: list[tuple[float, int, int, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -572,18 +602,19 @@ class _SlotTable:
 
 
 def _offered(step, assignment, stats):
-    """An iterator over the labels of a hole, given its parent's label."""
+    """The labels of a hole, given its parent's label."""
     _, parent, offer, unused = step
     labels, cut = offer.get(assignment[parent], unused) if parent else offer
     if cut and stats is not None:
         stats.cut_trivial += cut
-    return iter(labels)
+    return labels
 
 
 _DONE = object()
+_UNBOUNDED = float("inf")
 
 
-def _assignments(view: _View, table: _SlotTable, prune=None,
+def _assignments(view: _View, table: _SlotTable, bound=None,
                  stats: SearchStats | None = None):
     """Yield complete hole assignments in enumeration order (module
     docstring), None marking an unused hole. The same dict is yielded every
@@ -591,9 +622,18 @@ def _assignments(view: _View, table: _SlotTable, prune=None,
     takes, and its "?" on backtracking, is pushed to the table
     (:meth:`_SlotTable.set`), so the table holds the yielded assignment.
 
-    ``prune(h)`` is consulted right after the h-th hole (in index order) gets
-    a label; returning True abandons that branch. The labels the GG/FF cut
-    withholds are counted in ``stats.cut_trivial``.
+    ``bound(h, held=None)`` is the search's one callback. Called as
+    ``bound(h)`` right after the h-th hole (in index order) takes a label,
+    it returns None to abandon that branch, else an upper bound on its
+    leaves. Every step but the last, and but one whose only label is
+    "unused", is ranked when it is reached: each label is set and bounded
+    in turn, and those kept are taken by descending bound, ties in offer
+    order. When a ranked label is taken, ``bound(h, held)`` is called with
+    the bound it was ranked by and returns None to abandon the branch. The
+    last step takes its labels in offer order, each checked by
+    ``bound(h)``. Without ``bound`` every step takes its labels in offer
+    order. The labels the GG/FF cut withholds are counted in
+    ``stats.cut_trivial``.
     """
     if view.dead:
         return
@@ -604,11 +644,26 @@ def _assignments(view: _View, table: _SlotTable, prune=None,
         return
     last = len(steps) - 1
     set_label = table.set
-    stack = [_offered(steps[0], assignment, stats)]  # per decided hole, its labels left
+
+    def branches(h):
+        # step h's (bound, label) pairs, ranked or in offer order
+        labels = _offered(steps[h], assignment, stats)
+        if bound is None or h == last or labels == (None,):
+            return ((None, label) for label in labels)
+        slot, kept = steps[h][0], []
+        for label in labels:
+            set_label(slot, label)
+            b = bound(h)
+            if b is not None:
+                kept.append((b, label))
+        kept.sort(key=itemgetter(0), reverse=True)  # stable: ties keep offer order
+        return iter(kept)
+
+    stack = [branches(0)]  # per decided hole, its (bound, label) pairs left
     while stack:
         h = len(stack) - 1
         slot = steps[h][0]
-        label = next(stack[h], _DONE)
+        held, label = next(stack[h], (None, _DONE))
         if label is _DONE:
             assignment.pop(slot, None)
             set_label(slot, "?")
@@ -616,10 +671,10 @@ def _assignments(view: _View, table: _SlotTable, prune=None,
             continue
         assignment[slot] = label
         set_label(slot, label)
-        if label is not None and prune is not None and prune(h):
+        if label is not None and bound is not None and bound(h, held) is None:
             continue
         if h < last:
-            stack.append(_offered(steps[h + 1], assignment, stats))
+            stack.append(branches(h + 1))
         else:
             yield assignment
 
@@ -743,13 +798,20 @@ def repair(
     best_key = None
     stats = SearchStats()
 
-    for template in templates:
+    for index, template in enumerate(templates):
         view = _View(template, sample.props)
         table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
         closing = view.closing
 
-        def prune(h):
+        def bound(h, held=None):
+            if held is not None:
+                # a ranked label is taken: its bound against the incumbent
+                # as it now stands
+                if held < best_fit:
+                    stats.prunes += 1
+                    return None
+                return held
             if time.monotonic() > deadline:
                 raise _Stop(TIME)
             # a trivial subtree makes every leaf below the branch trivial
@@ -759,17 +821,14 @@ def repair(
                 if rule is not None:
                     stats.cut_closed += 1
                     stats.cut_by_rule[rule] += 1
-                    return True
-            if best is None or h == last:
-                return False
+                    return None
+            if h == last:  # every leaf is scored: no bound
+                return _UNBOUNDED
             stats.bound_calls += 1
-            if bound_mean_fitness(table) < best_fit:
-                stats.prunes += 1
-                return True
-            return False
+            return bound_mean_fitness(table)
 
         try:
-            for assignment in _assignments(view, table, prune, stats):
+            for assignment in _assignments(view, table, bound, stats):
                 if time.monotonic() > deadline:
                     raise _Stop(TIME)
                 if stats.scored >= budget.node_limit:
@@ -794,6 +853,8 @@ def repair(
                     best = Filling(holes, formula)
                     best_fit = fit
                     best_key = key
+                    stats.incumbents.append(
+                        (time.monotonic() - start, index, stats.scored, fit))
                     log.debug(
                         "incumbent fitness=%.9f explored=%d prunes=%d formula=%s",
                         fit, stats.scored, stats.prunes, format_formula(formula),

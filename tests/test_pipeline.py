@@ -128,7 +128,7 @@ class TestPaths:
 
 
 class TestParamsEcho:
-    def test_the_seventeen_settings_a_report_echoes(self):
+    def test_the_eighteen_settings_a_report_echoes(self):
         cfg = pipeline.RunConfig(
             traces_path="t.txt", explanation_path="e.txt", props=["p"],
             semantics=SemanticsParams(0.5, 0.6, 0.2, DISCOUNTED), kappa=0.7, depth=2, top=4,
@@ -141,9 +141,12 @@ class TestParamsEcho:
             "semantics": "discounted", "alpha": 0.5, "beta": 0.6, "gamma": 0.2,
             "kappa": 0.7, "depth": 2, "top": 4, "strategy": "random", "hole_prob": 0.3,
             "seed": 9, "n_candidates": 6, "mode": "multishot", "provider": "http",
-            "model": "m", "budget": {"time_limit": 5.0, "node_limit": 77},
+            "model": "m", "temperature": 0.4, "budget": {"time_limit": 5.0, "node_limit": 77},
             "template_count": 2, "max_retries": 1,
         }
+
+    def test_an_unset_temperature_is_echoed_as_null(self):
+        assert pipeline._params_echo(pipeline.RunConfig())["temperature"] is None
 
 
 class TestBenchRun:
@@ -159,21 +162,42 @@ class TestBenchRun:
         assert suite["ok"] is False
         assert (tmp_path / "out" / "bad.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", "abc"),  # fails its cast
+        ("alpha", "2"),  # fails SemanticsParams' check
+        ("count", "ten"),  # fails its cast, before traces are drawn
+        ("node_limit", "0"),  # fails SearchBudget's check
+    ])
+    def test_a_bad_setting_becomes_an_error_row_naming_it(self, tmp_path, key, value):
+        case_copy("case3", tmp_path / "bad", **{key: value})
+        case_copy("case5", tmp_path / "good")
+        suite = pipeline.bench_run(tmp_path)
+        bad, good = suite["cases"]
+        assert bad["error"].startswith("ConfigError:") and key in bad["error"]
+        assert bad["ok"] is False
+        assert good["case"] == "good" and "error" not in good
+
 
 TABLE1 = Path(pipeline.__file__).parent / "suites" / "table1"
+
+
+def case_copy(name, to, **settings):
+    """A copy of bundled table1 case `name` at `to`, its case.ini keys set
+    to `settings`."""
+    shutil.copytree(TABLE1 / name, to)
+    ini = configparser.ConfigParser()
+    ini.read(to / "case.ini")
+    ini["case"].update(settings)
+    with open(to / "case.ini", "w") as fh:
+        ini.write(fh)
+    return to
 
 
 class TestSearchStats:
     def test_counts_agree_on_a_table1_case(self, monkeypatch, tmp_path):
         # case5 on trace seed 0 reaches all three outcomes of a leaf or a
         # choice: cut at a G/F label, rejected by its verdict, scored
-        case = tmp_path / "case5"
-        shutil.copytree(TABLE1 / "case5", case)
-        ini = configparser.ConfigParser()
-        ini.read(case / "case.ini")
-        ini["case"]["gen_seed"] = "0"
-        with open(case / "case.ini", "w") as fh:
-            ini.write(fh)
+        case = case_copy("case5", tmp_path / "case5", gen_seed="0")
         outcomes, reports = [], []
         run_pipeline = pipeline.janaka_run
 
@@ -197,6 +221,32 @@ class TestSearchStats:
         assert stats.stop == "exhausted" and not outcome.budget_expired
         [report] = reports
         assert report.to_dict()["repair"]["stats"] == dataclasses.asdict(stats)
+        # the incumbent history's times, and only they, are zeroed
+        zeroed = report.to_dict(zero_timings=True)["repair"]["stats"]["incumbents"]
+        assert zeroed == [(0.0, *row[1:]) for row in stats.incumbents]
+        assert stats.incumbents and stats.incumbents[-1][3] == outcome.fitness
+
+    def test_depth2_case2_discounted_exhausts(self, monkeypatch, tmp_path):
+        # the depth-2 frontier: case2 under discounted semantics at kappa 1.0
+        # exhausts within 10,000 scored leaves and reaches 0.81, the best
+        # fitness its third template alone reaches
+        case = case_copy("case2", tmp_path / "case2", depth="2", semantics="discounted",
+                         kappa="1.0", budget_seconds="600", node_limit="10000")
+        reports = []
+        run_pipeline = pipeline.janaka_run
+
+        def spy_run(cfg, **kwargs):
+            assert (cfg.depth, cfg.semantics.kind, cfg.kappa) == (2, DISCOUNTED, 1.0)
+            assert cfg.budget == SearchBudget(time_limit=600, node_limit=10_000)
+            reports.append(run_pipeline(cfg, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "janaka_run", spy_run)
+        pipeline.run_case(case)
+        [report] = reports
+        assert not report.repair["budget_expired"]
+        assert report.repair["stats"]["stop"] == "exhausted"
+        assert report.repair["fitness"] >= 0.81
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -62,7 +62,7 @@ def all_p_sample(n_traces=3, length=3, props=PropositionSet(["p"])):
 
 def walk(template, props=PQ, **kwargs):
     """The search's enumeration of a template, pushing to a table without a
-    sample."""
+    sample; with no bound callback, every hole's labels in offer order."""
     return _assignments(_View(template, props), _SlotTable(template), **kwargs)
 
 
@@ -251,11 +251,93 @@ class TestRepair:
         assert out.fitness == -want[0][0]
         assert format_formula(out.best.formula) == want[0][2]
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
+    def test_result_does_not_depend_on_the_offer_order(self, seed, strategy):
+        # the incumbent order (fitness, then the tie-break key) is total and
+        # pruning is strict, so an exhausted search gives the same answer, the
+        # brute-force one, whatever order each hole's labels are offered in
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        templates = make_templates(
+            stacking_source(rng, props), d=rng.randint(1, 2), strategy=strategy,
+            hole_prob=rng.choice([0.3, 0.6]), seed=seed, count=2,
+        )
+        templates = [t for t in templates if len(t.hole_indices) <= 5]
+        if not templates:
+            return
+        sample = Sample(
+            tuple(random_trace(rng, rng.randint(1, 6), list(props))
+                  for _ in range(rng.randint(1, 4))),
+            props,
+        )
+        params = random_params(rng)
+
+        def search():
+            return repair(sample, templates, params, kappa=0.0,
+                          budget=SearchBudget(time_limit=120.0))
+
+        out = search()
+        labels_for = Template.labels_for
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Template, "labels_for",
+                       lambda self, i, props: labels_for(self, i, props)[::-1])
+            reversed_out = search()
+        assert not out.budget_expired and not reversed_out.budget_expired
+        assert reversed_out.best == out.best
+        assert (reversed_out.fitness, reversed_out.total, reversed_out.per_trace) == (
+            out.fitness, out.total, out.per_trace)
+        want = brute_force(templates, sample, params)
+        if want is None:
+            assert out.best is None
+            return
+        assert out.fitness == -want[0][0]
+        assert format_formula(out.best.formula) == want[0][2]
+
+    def test_steps_are_taken_by_descending_bound(self):
+        # (a & b) over p, q: the first hole is ranked by made-up bounds (!q
+        # cut, !p and q tied), the last one taken in offer order; a ranked
+        # label whose bound is below the incumbent is pruned when taken
+        template = parse_template("(?<1> & ?<1>)")
+        bounds = {"p": 1.0, "!p": 3.0, "q": 3.0, "!q": None}
+
+        def firsts(floor):
+            view, table = _View(template, PQ), _SlotTable(template)
+
+            def bound(h, held=None):
+                if held is not None:
+                    return None if held < floor else held
+                return bounds[table.label[2]] if h == 0 else float("inf")
+
+            return [a[2] for a in _assignments(view, table, bound)]
+
+        assert firsts(float("-inf")) == ["!p"] * 4 + ["q"] * 4 + ["p"] * 4
+        assert firsts(2.0) == ["!p"] * 4 + ["q"] * 4
+        # without a callback: offer order
+        assert [a[2] for a in walk(template)] == [x for x in ("p", "!p", "q", "!q")
+                                                  for _ in range(4)]
+
+    def test_incumbent_history(self):
+        # one row per incumbent change: (t, template index, scored, fitness),
+        # fitness never falling, the last row the answer
+        sample = all_p_sample(props=PQ)
+        templates = [parse_template("G(?<1>)"), parse_template("(?<1> U ?<1>)")]
+        out = repair(sample, templates, SemanticsParams(kind=DISCOUNTED), kappa=0.0)
+        rows = out.stats.incumbents
+        assert rows
+        times, indices, scored, fits = zip(*rows)
+        assert list(times) == sorted(times) and all(t >= 0.0 for t in times)
+        assert set(indices) <= {0, 1} and list(indices) == sorted(indices)
+        assert list(scored) == sorted(scored) and scored[-1] <= out.explored
+        assert list(fits) == sorted(fits) and fits[-1] == out.fitness
+        assert out.stats.prunes <= out.stats.bound_calls
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
     def test_accepted_leaves_are_the_filtered_enumeration(self, seed, strategy):
-        # with no incumbent pruning the search scores exactly the fillings
-        # the reference filter keeps, in enumeration order
+        # with no incumbent pruning, and every bound equal so that ranking
+        # keeps the offer order, the search scores exactly the fillings the
+        # reference filter keeps, in enumeration order
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         [template] = make_templates(
@@ -535,13 +617,15 @@ class TestSlotTables:
         # (X(a) | X(b)) over p: of the four leaves, (X(p) | X(p)) and
         # (X(!p) | X(!p)) are rejected unscored; (X(p) | X(!p)) computes the
         # values of 2, 3 and the root, and (X(!p) | X(p)) finds both X
-        # subtrees' ids in the memo and computes the root's only
+        # subtrees' ids in the memo and computes the root's only. The first
+        # hole's two labels are ranked by one bound call each (equal bounds:
+        # offer order); the last hole's are not bounded
         template = parse_template("(X(?<1>) | X(?<1>))")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(repair_module, "bound_mean_fitness", lambda *args: float("inf"))
             out = repair(all_p_sample(), [template], SemanticsParams(kind=ROBUST), kappa=0.0)
         stats = out.stats
-        assert (stats.leaves, stats.scored, stats.bound_calls) == (4, 2, 1)
+        assert (stats.leaves, stats.scored, stats.bound_calls) == (4, 2, 2)
         assert (stats.slot_recomputed, stats.value_shared, stats.slot_hits) == (4, 2, 0)
 
     @pytest.mark.parametrize("kind", [ROBUST, DISCOUNTED])
@@ -616,8 +700,9 @@ class TestSlotTables:
            st.sampled_from(STRATEGIES),
            st.sampled_from([None, "(?<1> ? ?<1>)", "X((?<1> ? ?<1>))"]), st.booleans())
     def test_pushed_changes_equal_a_fresh_table(self, seed, kind, strategy, text, short):
-        # one table driven in the search's push/backtrack order (with random
-        # prunes), then by out-of-order assignments, operator flips and holes
+        # one table driven in the search's push/backtrack order (labels
+        # ranked by random bounds, with random cuts and prunes), then by
+        # out-of-order assignments, operator flips and holes
         # reset to "?": every bound, score and verdict equals a fresh table's
         # and the references'. Besides made templates: a root hole, which
         # flips between elementwise, temporal and literal rows, and a unary
@@ -656,13 +741,15 @@ class TestSlotTables:
             assert table.rule(vid) == fresh.rule(fresh.verdict())
             assert table.fitness() == fresh.fitness() == sample_fitness(formula, sample, params)
 
-        def prune(h):
+        def bound(h, held=None):
+            if held is not None:  # a ranked label is taken
+                return None if rng.random() < 0.2 else held
             if rng.random() < 0.3:
                 check(view.closing[h])
-            return rng.random() < 0.2
+            return None if rng.random() < 0.2 else rng.random()
 
         leaves = []
-        for a in itertools.islice(_assignments(view, table, prune), 100):
+        for a in itertools.islice(_assignments(view, table, bound), 100):
             check()
             leaves.append(dict(a))
         if not leaves:
@@ -692,12 +779,13 @@ class TestSlotTables:
             repair(all_p_sample(), [t], SemanticsParams(kind=ROBUST), kappa=0.0)
 
 
-# --- reference: the search loop before closed subtrees were cut, verbatim ------
+# --- reference: the search loop without the closed-subtree cut ----------------
 
 
 def reference_search(sample, templates, params):
-    """repair's search without the closed-subtree cut: (scored formulas in
-    order, trivial leaves, best formula, best fitness)."""
+    """repair's search without the closed-subtree cut, each step's labels
+    ranked by the same bound: (scored formulas in order, trivial leaves, best
+    formula, best fitness)."""
     best, best_fit, best_key = None, float("-inf"), None
     scored, trivial_leaves = [], []
     for template in templates:
@@ -705,12 +793,12 @@ def reference_search(sample, templates, params):
         table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
 
-        def prune(h):
-            if best is None or h == last:
-                return False
-            return bound_mean_fitness(table) < best_fit
+        def bound(h, held=None):
+            if held is not None:
+                return None if held < best_fit else held
+            return float("inf") if h == last else bound_mean_fitness(table)
 
-        for assignment in _assignments(view, table, prune):
+        for assignment in _assignments(view, table, bound):
             vid = table.verdict()
             formula = table.decode(vid)
             if table.rule(vid) is not None:
