@@ -437,15 +437,23 @@ def extract_candidates(text: str, props: PropositionSet):
     return list(unique.values()), invalid
 
 
+# seconds to pause before the retry that follows a failed request (the n-th
+# request's failure pauses BACKOFF_S[n], the last entry repeating), where the
+# provider names no wait of its own: a server error, or a rate limit without
+# a usable Retry-After
+BACKOFF_S = (0.5, 1.0, 2.0, 4.0, 8.0)
+
+
 def request_candidates(
     provider, bundle: PromptBundle, max_retries: int = 2, deadline: float | None = None
 ) -> CandidateSet:
     """Query the provider, extract and validate formulas, re-request on failure.
 
     A response is accepted when it yields at least one formula and no invalid
-    candidate. A server error is retried like a response without formulas,
-    and a rate-limited request after sleeping the provider's ``retry_after``
-    when it gives one; a sleep that would end past ``deadline`` (a
+    candidate; a response without formulas is re-requested at once. A server
+    error or a rate limit is retried after a pause: the provider's
+    ``retry_after`` when a rate limit gives a usable one, else the
+    :data:`BACKOFF_S` schedule. A pause that would end past ``deadline`` (a
     ``time.monotonic()`` value) is not taken, and no request follows. After
     retries are exhausted, the valid formulas of the most recent response
     carrying any are returned; with none at all, the last request's
@@ -461,15 +469,15 @@ def request_candidates(
         start = time.perf_counter()
         try:
             text = provider.complete(messages)
-        except ProviderServerError as exc:
+        except (ProviderServerError, RateLimitedError) as exc:
             latency += time.perf_counter() - start
             failed = exc
-            continue
-        except RateLimitedError as exc:
-            latency += time.perf_counter() - start
-            failed = exc
-            wait = exc.retry_after
-            if wait and attempt < max_retries:
+            if attempt == max_retries:
+                break
+            wait = getattr(exc, "retry_after", None)
+            if wait is None:
+                wait = BACKOFF_S[min(attempt, len(BACKOFF_S) - 1)]
+            if wait:
                 if deadline is not None and time.monotonic() + wait > deadline:
                     break
                 time.sleep(wait)

@@ -214,7 +214,7 @@ def janaka_run(
     """Run the full mining pipeline; inputs may be injected to bypass files.
 
     ``cfg.budget.time_limit`` bounds the whole run: the search gets what the
-    provider phase, Retry-After sleeps included, left of it."""
+    provider phase, its pauses between retries included, left of it."""
     cfg.validate()
     t_start = time.perf_counter()
     deadline = time.monotonic() + cfg.budget.time_limit

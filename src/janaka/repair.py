@@ -61,7 +61,18 @@ endpoint from the children's endpoints that its operator's endpoint kernel
 reads (:meth:`janaka.ops.Op.endpoint`), so a low is computed only below the
 left side of an implication, and robust U never bounds its left child.
 Unresolved holes contribute the full value range of any formula fitting
-their remaining depth (:func:`janaka.semantics.value_range`).
+their remaining depth (:func:`janaka.semantics.value_range`). A slot whose
+subtree has no unresolved hole is a point: its low and its high are its
+value vector, the one leaf scoring computes (and shares by id), and no
+endpoint kernel runs for it. That is admissible because every endpoint row
+holds for any child interval that contains the child's values, and
+``[v, v]`` contains ``v``; it is tighter than the interval rows wherever a
+decided subtree holds a robust ``|``, ``->``, F or U, whose rows widen a
+point (``|``'s high is beta times the max of the highs where its value is
+beta times their mean), and equal to them bit for bit elsewhere, under
+discounted semantics always. So each bound is at most the interval rows'
+and at least the fitness of each completion, and the bound of a complete
+filling is its fitness.
 
 A search keeps one per-slot table (:class:`_SlotTable`) for its template,
 sample and semantics parameters. For every slot it holds flat entries over
@@ -103,7 +114,7 @@ import time
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -127,7 +138,7 @@ from .formulas import (
     atoms_of,
     children,
     decode_label,
-    eval_qualitative,
+    eval_qualitative,  # noqa: F401  (kept for perfbench's span tracer, which wraps it here)
     format_formula,
     node_count,
     satisfaction_vector,
@@ -147,9 +158,15 @@ from .ops import (
     Endpoint,
     Op,
     arity,
+    evaluate,
     literal_values,
 )
-from .semantics import SemanticsParams, flat_layout, sample_fitness, value_of, value_range
+from .semantics import (
+    SemanticsParams,
+    flat_layout,
+    sample_fitness,  # noqa: F401  (as eval_qualitative above)
+    value_range,
+)
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
@@ -191,14 +208,34 @@ class SearchBudget:
 
 
 @dataclass
+class TemplateStats:
+    """One template's share of a search's counts (:class:`SearchStats`):
+    its index in the list searched and why its search stopped."""
+
+    index: int
+    leaves: int = 0
+    scored: int = 0
+    bound_calls: int = 0
+    prunes: int = 0
+    cut_closed: int = 0
+    stop: str = EXHAUSTED
+
+
+_PER_TEMPLATE = attrgetter("leaves", "scored", "bound_calls", "prunes", "cut_closed")
+
+
+@dataclass
 class SearchStats:
     """What one repair call's search did, summed over its templates.
 
     ``slot_recomputed`` counts the slot table's kernel calls: each endpoint
-    of the bound (a slot's low or its high) and each value vector computed
-    by an operator's kernel. ``slot_hits`` counts the endpoints and value
-    vectors served as a slot still held them, and ``value_shared`` the value
-    vectors served by their subtree's id from the memo, with no kernel call.
+    of the bound (a slot's low or its high) of a slot with an unresolved hole
+    below it, and each value vector computed by an operator's kernel. A
+    decided slot's endpoints are its value vector (module docstring), so
+    bounding it counts as computing its value, once for both endpoints.
+    ``slot_hits`` counts the endpoints and value vectors served as a slot
+    still held them, and ``value_shared`` the value vectors served by their
+    subtree's id from the memo, with no kernel call.
     ``cut_by_rule`` and ``rejected_by_rule`` split ``cut_closed`` and
     ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`).
 
@@ -212,7 +249,13 @@ class SearchStats:
     change of the incumbent: the seconds since the search began, the
     template's index in the list searched, the leaves scored so far and the
     new incumbent's fitness (a change at equal fitness is a smaller
-    tie-break key)."""
+    tie-break key).
+
+    ``templates`` lists one :class:`TemplateStats` per template searched, in
+    search order: its leaves, scored leaves, bound calls, prunes and closed
+    cuts, which sum over the entries to the totals above, and why its search
+    stopped (the last entry's ``stop`` is the search's). It holds counts
+    only, no times."""
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
@@ -228,6 +271,7 @@ class SearchStats:
     cut_by_rule: dict[str, int] = field(default_factory=_per_rule)
     rejected_by_rule: dict[str, int] = field(default_factory=_per_rule)
     incumbents: list[tuple[float, int, int, float]] = field(default_factory=list)
+    templates: list[TemplateStats] = field(default_factory=list)
 
 
 @dataclass
@@ -321,6 +365,7 @@ class _View:
 
 
 LOW, HIGH, VALUE = 0, 1, 2  # a slot's entries: the bound's low and high, the value vector
+_OPEN = -1  # the id of a subtree with an unresolved hole; interned ids are >= 0
 
 
 class _Row(NamedTuple):
@@ -451,6 +496,9 @@ class _SlotTable:
                 raise ValueError(f"slot {i} is unassigned")
             else:
                 out = self._open(self.heights[i])[e]
+        elif e != VALUE and self._id(i) != _OPEN:
+            # a decided subtree is a point: its low and high are its values
+            out = self._entry(i, VALUE)
         elif e == VALUE and i > 1 and (out := self._memo.get(self._id(i))) is not None:
             self.shared += 1
         else:
@@ -487,7 +535,8 @@ class _SlotTable:
         return out
 
     def _id(self, i) -> int:
-        """Slot i's interned id, every hole below which is decided."""
+        """Slot i's interned id, or :data:`_OPEN` where a hole below it is
+        unresolved; kept until :meth:`set` drops it."""
         vids = self._vids
         vid = vids[i]
         if vid is not None:
@@ -496,21 +545,28 @@ class _SlotTable:
         if row is None:
             label = self.label[i]
             if label == "?":
-                raise ValueError(f"slot {i} is unassigned")
-            vid = self._ids.get(label)
-            if vid is None:
-                vid = self._intern(label, True, None)
+                vid = _OPEN
+            else:
+                vid = self._ids.get(label)
+                if vid is None:
+                    vid = self._intern(label, True, None)
         else:
             # loops here, not comprehensions: before CPython 3.12 each
             # comprehension is a call of its own
             key = [row.op.label]
             for j in row.kids:
                 k = vids[j]
-                key.append(k if k is not None else self._id(j))
-            key = tuple(key)
-            vid = self._ids.get(key)
-            if vid is None:
-                vid = self._judge(row.op, key)
+                if k is None:
+                    k = self._id(j)
+                if k == _OPEN:
+                    vid = _OPEN
+                    break
+                key.append(k)
+            else:
+                key = tuple(key)
+                vid = self._ids.get(key)
+                if vid is None:
+                    vid = self._judge(row.op, key)
         vids[i] = vid
         return vid
 
@@ -573,10 +629,13 @@ class _SlotTable:
         return total / len(self.starts)
 
     def verdict(self, i: int = 1) -> int:
-        """The interned id of slot i's subtree, every hole of which is
-        decided (the root's: the whole formula). Equal ids are equal
-        formulas; :meth:`rule` and :meth:`decode` read an id."""
-        return self._id(i)
+        """The interned id of slot i's subtree, every hole of which must be
+        decided (ValueError otherwise; the root's: the whole formula). Equal
+        ids are equal formulas; :meth:`rule` and :meth:`decode` read an id."""
+        vid = self._id(i)
+        if vid == _OPEN:
+            raise ValueError(f"slot {i} has an unassigned hole below it")
+        return vid
 
     def rule(self, vid: int) -> str | None:
         """The closed-subtree rule that makes the id's formula trivial, or
@@ -598,7 +657,7 @@ class _SlotTable:
 
     def formula(self) -> Formula:
         """The formula of the labels as they stand, every hole decided."""
-        return self.decode(self._id(1))
+        return self.decode(self.verdict())
 
 
 def _offered(step, assignment, stats):
@@ -769,6 +828,20 @@ def _validate_templates(templates, props):
                     raise UnknownAtomError(name, list(props))
 
 
+def _scores(f: Formula, traces, params: SemanticsParams):
+    """(fitness, per-trace values, per-trace satisfaction) of an NNF formula:
+    one walk per semantics over the flat layout, read at the trace starts
+    and summed as :func:`janaka.semantics.sample_fitness` sums them."""
+    states, segments = flat_layout(traces)
+    vals = evaluate(f, states, params.kind, params, segments)
+    sats = evaluate(f, states, "qualitative", None, segments)
+    scores = [vals[start] for start, _ in segments]
+    total = 0.0
+    for v in scores:
+        total += v
+    return total / len(scores), scores, [sats[start] for start, _ in segments]
+
+
 class _Stop(Exception):
     """A budget ended the search; args[0] is the stop reason."""
 
@@ -799,6 +872,7 @@ def repair(
     stats = SearchStats()
 
     for index, template in enumerate(templates):
+        before = _PER_TEMPLATE(stats)
         view = _View(template, sample.props)
         table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
@@ -864,6 +938,8 @@ def repair(
         stats.slot_recomputed += table.recomputed
         stats.slot_hits += table.hits
         stats.value_shared += table.shared
+        stats.templates.append(
+            TemplateStats(index, *map(sub, _PER_TEMPLATE(stats), before), stats.stop))
         if stats.stop != EXHAUSTED:
             break
 
@@ -875,9 +951,7 @@ def repair(
             None, float("-inf"), float("-inf"), [], explored, elapsed, False, expired,
             stats=stats,
         )
-    fitness = sample_fitness(best.formula, sample, params)
-    scores = [value_of(best.formula, w, params).value for w in sample.traces]
-    sats = [eval_qualitative(best.formula, w) for w in sample.traces]
+    fitness, scores, sats = _scores(best.formula, traces, params)
     log.info(
         "repair done: fitness=%.9f total=%.9f elapsed=%.3fs %s",
         fitness, sum(scores), elapsed, stats,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -207,7 +208,7 @@ class TestRequestCandidates:
                                    max_retries=2)
         assert len(cands.formulas) == 5
         assert provider.calls == 3
-        assert slept == [2.5]  # no Retry-After, no sleep
+        assert slept == [2.5, llm_mod.BACKOFF_S[1]]  # no Retry-After: the back-off
 
     def test_rate_limit_raises_once_retries_are_used_up(self, monkeypatch):
         slept = []
@@ -241,6 +242,64 @@ class TestRequestCandidates:
         else:
             assert run().path == "llm-direct"
             assert (slept, provider.calls) == ([0.5], 2)
+
+    def test_backoff_pauses_double(self, monkeypatch):
+        # a server error or a rate limit without Retry-After pauses on the
+        # doubling schedule, the last pause repeating; none after the last
+        # request
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        assert llm_mod.BACKOFF_S == (0.5, 1.0, 2.0, 4.0, 8.0)
+        failures = [ProviderServerError("HTTP 503"), RateLimitedError("busy")] * 3
+        provider = ScriptedProvider(failures + [FIVE])
+        cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                                   max_retries=6)
+        assert len(cands.formulas) == 5 and provider.calls == 7
+        assert slept == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+        slept.clear()
+        provider = ScriptedProvider([ProviderServerError("HTTP 503")] * 3)
+        with pytest.raises(ProviderServerError):
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                               max_retries=2)
+        assert (slept, provider.calls) == ([0.5, 1.0], 3)
+
+    @pytest.mark.parametrize("error, code", [
+        (ProviderServerError("HTTP 503"), 11), (RateLimitedError("busy"), 12)])
+    def test_backoff_is_bounded_by_the_run_budget(self, monkeypatch, error, code):
+        # pauses of 0.5 and 1.0 s fit a 1.7 s budget, the next one of 2.0 s
+        # does not: it is not taken, no request follows, and the run ends
+        # with the last failure
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = ScriptedProvider([error] * 4 + [FIVE])
+        cfg = pipeline.RunConfig(semantics=SemanticsParams(kind=DISCOUNTED), kappa=0.0,
+                                 max_retries=4, budget=SearchBudget(time_limit=1.7))
+        with pytest.raises(type(error)) as info:
+            pipeline.janaka_run(cfg, sample=sample_pq(), explanation="hello",
+                                provider=provider)
+        assert cli.exit_code_for(info.value) == code
+        assert (slept, provider.calls) == ([0.5, 1.0], 3)
+
+    def test_retry_after_decides_the_wait(self, monkeypatch):
+        # a usable Retry-After is the wait, shorter or longer than the
+        # back-off's pause at that attempt, zero included (no pause)
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
+        provider = ScriptedProvider([
+            RateLimitedError("busy", retry_after=0.1), RateLimitedError("busy", retry_after=7.0),
+            RateLimitedError("busy", retry_after=0), RateLimitedError("busy"), FIVE])
+        cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                                   max_retries=4)
+        assert len(cands.formulas) == 5 and provider.calls == 5
+        assert slept == [0.1, 7.0, llm_mod.BACKOFF_S[3]]
+        # a Retry-After past the deadline ends the requests, though the
+        # back-off's pause would fit
+        slept.clear()
+        provider = ScriptedProvider([RateLimitedError("busy", retry_after=60.0), FIVE])
+        with pytest.raises(RateLimitedError):
+            request_candidates(provider, build_prompt(sample_pq(), "hello", n=5),
+                               max_retries=2, deadline=time.monotonic() + 10.0)
+        assert (slept, provider.calls) == ([], 1)
 
     def test_search_gets_what_the_provider_phase_left(self, monkeypatch):
         # one rate limit slept for 0.8 s of a 1.0 s budget: the search is
@@ -432,13 +491,16 @@ class TestHttpProvider:
             stub.reply = (429, {"Retry-After": value}, b"")
             with pytest.raises(RateLimitedError):
                 request_candidates(provider, bundle, max_retries=1)
-        assert slept == []
+        assert slept == [llm_mod.BACKOFF_S[0]] * 2  # the back-off, as with none
+        slept.clear()
         stub.reply = (429, {"Retry-After": "2"}, b"")
         with pytest.raises(RateLimitedError):
             request_candidates(provider, bundle, max_retries=1)
         assert slept == [2.0]
 
     def test_server_error(self, stub, tmp_path, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
         stub.reply = (500, {}, b"x" * 300)
         provider = HttpChatProvider(stub.url, "m", api_key="k")
         with pytest.raises(ProviderServerError) as info:
@@ -450,6 +512,7 @@ class TestHttpProvider:
             request_candidates(provider, build_prompt(sample_pq(), "hello", n=5), max_retries=2)
         assert len(stub.seen) == 1 + 3
         assert cli.exit_code_for(info.value) == 11
+        assert slept == list(llm_mod.BACKOFF_S[:2])
         (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
         (tmp_path / "explain.txt").write_text("p always holds")
         monkeypatch.setenv("JANAKA_API_KEY", "k")
@@ -459,12 +522,15 @@ class TestHttpProvider:
         assert code == 11
         assert len(stub.seen) == 4 + 3
 
-    def test_server_error_is_retried(self, stub):
+    def test_server_error_is_retried(self, stub, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_mod.time, "sleep", slept.append)
         stub.reply = [(500, {}, b"busy"), (200, {}, chat_reply(FIVE))]
         provider = HttpChatProvider(stub.url, "m", api_key="k")
         cands = request_candidates(provider, build_prompt(sample_pq(), "hello", n=5), max_retries=2)
         assert len(cands.formulas) == 5
         assert len(stub.seen) == 2
+        assert slept == [llm_mod.BACKOFF_S[0]]
         # a client error is not retried
         stub.reply = [(404, {}, b"no such model"), (200, {}, chat_reply(FIVE))]
         with pytest.raises(ProviderUnreachableError, match="HTTP 404") as info:

@@ -16,6 +16,7 @@ from janaka.formulas import (
     Not,
     PropositionSet,
     decode_label,
+    eval_qualitative,
     format_formula,
     node_count,
     parse_formula,
@@ -33,8 +34,15 @@ from janaka.repair import (
     repair,
     triviality_filter,
 )
-from janaka.ops import OPS, literal_values
-from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, value_range
+from janaka.ops import FINALLY, IMPLIES, OPS, OR, UNTIL, arity, evaluate, literal_values
+from janaka.semantics import (
+    DISCOUNTED,
+    ROBUST,
+    SemanticsParams,
+    sample_fitness,
+    value_of,
+    value_range,
+)
 from janaka.templates import (
     RANDOM,
     STRATEGIES,
@@ -332,6 +340,50 @@ class TestRepair:
         assert list(fits) == sorted(fits) and fits[-1] == out.fitness
         assert out.stats.prunes <= out.stats.bound_calls
 
+    def test_per_template_stats(self):
+        # one count-only entry per template searched, summing to the totals;
+        # a node budget that runs out in the second template names it
+        sample = all_p_sample(props=PQ)
+        templates = [parse_template("G(?<1>)"), parse_template("(?<1> U ?<1>)"),
+                     parse_template("F(?<1>)")]
+        params = SemanticsParams(kind=DISCOUNTED)
+        stats = repair(sample, templates, params, kappa=0.0).stats
+        assert [(t.index, t.stop) for t in stats.templates] == [
+            (0, "exhausted"), (1, "exhausted"), (2, "exhausted")]
+        assert_templates_sum(stats)
+        limit = stats.templates[0].scored + 1
+        out = repair(sample, templates, params, kappa=0.0,
+                     budget=SearchBudget(node_limit=limit))
+        assert out.budget_expired
+        assert [(t.index, t.stop) for t in out.stats.templates] == [
+            (0, "exhausted"), (1, "nodes")]
+        assert out.stats.templates[1].scored == 1
+        assert_templates_sum(out.stats)
+        # counts and the stop reason only, no times
+        assert all(type(v) in (int, str) for t in out.stats.templates for v in vars(t).values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
+    def test_scores_equal_the_separate_evaluations(self, seed, kind):
+        # repair's one walk per semantics over the flat layout gives the
+        # fitness, per-trace values and satisfaction that sample_fitness,
+        # value_of and eval_qualitative give, equal by repr
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        f = random_formula(rng, depth=rng.randint(1, 4), atoms=list(props), mode="nnf")
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        fitness, scores, sats = repair_module._scores(f, sample.traces, params)
+        assert repr(fitness) == repr(sample_fitness(f, sample, params))
+        assert repr(list(zip(scores, sats))) == repr(
+            [(value_of(f, w, params).value, eval_qualitative(f, w)) for w in sample.traces])
+        # and through repair, on a hole-free template whose one filling is f
+        if triviality_filter(f):
+            return
+        out = repair(sample, [parse_template(format_formula(f))], params, kappa=0.0)
+        assert out.best.formula == f
+        assert repr((out.fitness, out.per_trace)) == repr(
+            (fitness, list(zip(scores, sats))))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
     def test_accepted_leaves_are_the_filtered_enumeration(self, seed, strategy):
@@ -400,14 +452,12 @@ class TestRepair:
                 if dict(filling.assignment)[first] == label:
                     fit = sample_fitness(filling.formula, sample, params)
                     assert bnd >= fit
-        # on a complete assignment the discounted bound is the fitness itself
+        # on a complete assignment the bound is the fitness itself: a decided
+        # tree is a point
         for filling in fillings:
             bnd = bound_at(table, dict(filling.assignment))
             fit = sample_fitness(filling.formula, sample, params)
-            if params.kind == DISCOUNTED:
-                assert bnd == fit
-            else:
-                assert bnd >= fit
+            assert bnd == fit
 
 
 # --- reference: the per-call recursions the slot tables replaced, verbatim -----
@@ -452,6 +502,50 @@ def reference_bound(view, assignment, sample, p):
     for trace in sample.traces:
         total += _intervals(view, assignment, trace.states, p, 1)[1][0]  # root high at 0
     return total / len(sample.traces)
+
+
+# --- reference: the bound of a decided subtree is its value -------------------
+
+
+def _decided(m, assignment, i):
+    """Whether every hole of slot i's subtree has a label."""
+    slot = m[i]
+    label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
+    if label == "?":
+        return False
+    return all(_decided(m, assignment, 2 * i + k) for k in range(arity(label)))
+
+
+def _points(view, assignment, states, p, i):
+    """_intervals, except that a decided subtree is the point of its values:
+    its low and its high are evaluate's values of its formula."""
+    if _decided(view.m, assignment, i):
+        vals = evaluate(_decode(view.m, assignment, i), states, p.kind, p)
+        return vals, vals
+    slot = view.m[i]
+    label = slot.label if isinstance(slot, Fixed) else assignment.get(i, "?")
+    if label == "?":
+        n = len(states)
+        height = view.template.heights[i]
+        ranges = [value_range(height, n - t, p) for t in range(n)]
+        return [lo for lo, _ in ranges], [hi for _, hi in ranges]
+    op = OPS[label]
+    kids = [_points(view, assignment, states, p, 2 * i + k) for k in range(op.arity)]
+    return op.interval(p, *kids)
+
+
+def point_bound(view, assignment, sample, p):
+    total = 0.0
+    for trace in sample.traces:
+        total += _points(view, assignment, trace.states, p, 1)[1][0]  # root high at 0
+    return total / len(sample.traces)
+
+
+def assert_templates_sum(stats):
+    """The per-template entries sum to the search's totals."""
+    for name in ("leaves", "scored", "bound_calls", "prunes", "cut_closed"):
+        assert sum(getattr(t, name) for t in stats.templates) == getattr(stats, name)
+    assert stats.templates[-1].stop == stats.stop
 
 
 def random_params(rng, kind=None):
@@ -503,7 +597,7 @@ class TestSlotTables:
         # out of search order, with revisits
         for _ in range(3 * len(queries)):
             a = rng.choice(queries)
-            assert bound_at(table, a) == reference_bound(view, a, sample, params)
+            assert bound_at(table, a) == point_bound(view, a, sample, params)
             if len(a) == len(holes):
                 formula = table.formula()
                 assert formula == _decode(view.m, a)
@@ -577,7 +671,7 @@ class TestSlotTables:
         tables.append(tables[0])
         for a in rng.sample(fillings, min(8, len(fillings))):
             for (sample, params), table in zip(contexts, tables):
-                assert bound_at(table, a) == reference_bound(view, a, sample, params)
+                assert bound_at(table, a) == point_bound(view, a, sample, params)
                 assert table.fitness() == sample_fitness(table.formula(), sample, params)
 
     def test_counters_split_recomputed_from_stamped_entries(self):
@@ -604,12 +698,22 @@ class TestSlotTables:
         assert counts() == (5, 2, 1)  # 2's id (p -> q) has a value: the root's only
         table.verdict()
         assert counts() == (5, 2, 1)  # ids are no kernel calls
-        # the bound: the root's high and ->'s high, over 4's low and 5's high
+        # the bound of a decided tree is its value: the root's, held
         table.bound()
-        assert counts() == (7, 2, 1)
+        assert counts() == (5, 3, 1)
+        # 5 open: the root's high and ->'s high, over 4's low (from the
+        # literal cache) and 5's high (the open range)
         apply(table, {4: "p"})
         table.bound()
-        assert counts() == (9, 3, 1)  # 2 and 1 again; 4's low is held
+        assert counts() == (7, 3, 1)
+        # 5 decided again: the root's value, over 2's (p -> q) from the memo
+        table.set(5, "q")
+        table.bound()
+        assert counts() == (8, 3, 2)
+        # 5 open again: 2's and 1's highs again; 4's low is held
+        table.set(5, "?")
+        table.bound()
+        assert counts() == (10, 4, 2)
         stats = repair(sample, [template], SemanticsParams(kind=ROBUST), kappa=0.0).stats
         assert stats.slot_recomputed > 0 and stats.slot_hits > 0
 
@@ -630,12 +734,13 @@ class TestSlotTables:
 
     @pytest.mark.parametrize("kind", [ROBUST, DISCOUNTED])
     def test_an_operator_flip_computes_the_missing_endpoint_only(self, kind):
-        # a binary hole over X(q) at 2 and X(p) at 3
-        table = _SlotTable(parse_template("(X(q) ? X(p))"), all_p_sample(props=PQ),
+        # a binary hole over X(?) at 2, open below, and X(p) at 3, decided:
+        # 3's low and high are its value
+        table = _SlotTable(parse_template("(X(?<1>) ? X(p))"), all_p_sample(props=PQ),
                            SemanticsParams(kind=kind))
         table.set(1, "&")
         table.bound()
-        assert (table.recomputed, table.hits) == (3, 0)  # the highs of 1, 2 and 3
+        assert (table.recomputed, table.hits) == (3, 0)  # the highs of 1 and 2, 3's value
         table.set(1, "->")
         table.bound()
         assert (table.recomputed, table.hits) == (5, 1)  # 1's high and 2's low
@@ -643,6 +748,11 @@ class TestSlotTables:
         table.bound()
         assert (table.recomputed, table.hits) == (6, 3)  # 1's high; 2 and 3 are held
         assert table._lows[2] is not None and table._highs[2] is not None
+        assert table._highs[3] is table._values[3] and table._lows[3] is None
+        # 2 decided: the tree is a point, 1's value over 2's and 3's
+        table.set(4, "q")
+        table.bound()
+        assert (table.recomputed, table.hits) == (8, 4)
 
     def test_robust_until_never_bounds_its_left_subtree(self):
         template = parse_template("(?<2> U p)")
@@ -653,18 +763,21 @@ class TestSlotTables:
             return [i for i, (lo, hi) in enumerate(zip(table._lows, table._highs))
                     if lo is not None or hi is not None]
 
-        for a in ({}, {2: "q"}, {2: "G", 4: "q"}, {2: "&", 4: "p", 5: "q"}, {}):
+        for a in ({}, {2: "q"}, {2: "G"}, {2: "G", 4: "q"}, {2: "&", 4: "p"},
+                  {2: "&", 4: "p", 5: "q"}, {}):
             apply(table, a)
             table.bound()
             assert bounded() == [1, 3]
-        # the root's high once per assignment, over 3's high, held after the
-        # first
-        assert (table.recomputed, table.hits) == (5, 4)
+        # an open left subtree: the root's high over 3's high, held after the
+        # first (4 calls, 3 hits); a decided tree is a point: the root's value
+        # over 3's value, held after the first, and the left subtree's values
+        # where an operator computes them (5 calls, 2 hits)
+        assert (table.recomputed, table.hits) == (9, 5)
         # the discounted U reads both children
         table = _SlotTable(template, sample, SemanticsParams(kind=DISCOUNTED))
-        apply(table, {2: "q"})
+        apply(table, {2: "G"})
         table.bound()
-        assert bounded() == [1, 2, 3]
+        assert bounded() == [1, 2, 3, 4]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
@@ -683,13 +796,16 @@ class TestSlotTables:
             table = _SlotTable(template, sample, params)
             apply(table, {i: a[i] for i in holes if rng.random() < 0.6})
             table.bound()
-            computed = [(i, high) for high, entries in ((False, table._lows), (True, table._highs))
+            computed = [(i, e) for e, entries in enumerate(table._entries)
                         for i, entry in enumerate(entries) if entry is not None]
-            # one kernel call per operator slot's endpoint, none served twice
-            assert table.recomputed == sum(table.label[i] in OPS for i, _ in computed)
+            # one kernel call per operator slot reached, none served twice: an
+            # open slot's endpoint, or a decided slot's value (its endpoint
+            # too), which the memo may serve by id instead
+            reached = {i for i, _ in computed if table.label[i] in OPS}
+            assert table.recomputed + table.shared == len(reached)
             assert table.hits == 0
-            for i, high in computed:
-                if high:
+            for i, e in computed:
+                if e != repair_module.LOW:
                     continue
                 while i > 1 and not (i % 2 == 0 and table.label[i >> 1] == "->"):
                     i >>= 1
@@ -729,7 +845,7 @@ class TestSlotTables:
             labels = {i: table.label[i] for i in holes if table.label[i] != "?"}
             fresh = _SlotTable(template, sample, params)
             apply(fresh, labels)
-            assert bound_mean_fitness(table) == fresh.bound() == reference_bound(
+            assert bound_mean_fitness(table) == fresh.bound() == point_bound(
                 view, labels, sample, params)
             if closed:
                 assert table.decode(table.verdict(closed)) == fresh.decode(fresh.verdict(closed))
@@ -777,6 +893,86 @@ class TestSlotTables:
         t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
         with pytest.raises(UnsupportedNegationError):
             repair(all_p_sample(), [t], SemanticsParams(kind=ROBUST), kappa=0.0)
+
+
+# robust labels whose interval rows widen a point (ops.py docstring)
+WIDENING = {OR, IMPLIES, FINALLY, UNTIL}
+
+# d=2 regions that close before the last hole, so that ranked bounds read
+# them decided, under robust | -> F U inside or above them
+DECIDED_REGIONS = ("G((?<2> -> F(?<1>)))", "((?<2> | q) U ?<1>)", "(F(?<2>) -> ?<1>)",
+                   "(?<2> & X(?<1>))")
+
+
+class TestPointBound:
+    """A decided subtree's bound is its value (the repair module docstring)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
+    def test_bound_is_the_point_reference(self, seed, kind):
+        # on random d=1/2 templates, at prefixes, subsets and complete
+        # assignments: the table's bound is the point reference's bit for
+        # bit, at most the interval reference's and at least every
+        # completion's fitness; it is the interval reference's bit for bit
+        # under discounted semantics and wherever no decided subtree holds a
+        # robust | -> F U
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        f = random_formula(rng, depth=rng.randint(2, 3), atoms=list(props), mode="nnf")
+        [template] = make_templates(
+            f, d=rng.randint(1, 2), strategy=RANDOM, hole_prob=0.6, seed=seed,
+        )
+        if len(template.hole_indices) > 4:
+            return
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        view = _View(template, props)
+        table = _SlotTable(template, sample, params)
+        fits = [(dict(fl.assignment), sample_fitness(fl.formula, sample, params))
+                for fl in itertools.islice(enumerate_fillings(template, props), 400)]
+        holes = list(template.hole_indices)
+        for a, _ in rng.sample(fits, min(20, len(fits))):
+            for partial in ({i: a[i] for i in holes[:rng.randint(0, len(holes))]},
+                            {i: a[i] for i in holes if rng.random() < 0.5}, a):
+                bound = bound_at(table, partial)
+                old = reference_bound(view, partial, sample, params)
+                assert bound == point_bound(view, partial, sample, params)
+                assert bound <= old
+                for b, fit in fits:
+                    if all(b[i] == label for i, label in partial.items()):
+                        assert bound >= fit
+                widened = any(table.label[i] in WIDENING and _decided(view.m, partial, i)
+                              for i in view.m)
+                if kind == DISCOUNTED or not widened:
+                    assert bound == old
+
+    @pytest.mark.parametrize("text", DECIDED_REGIONS)
+    def test_exact_where_decided_regions_are_points(self, text):
+        # robust searches whose ranked bounds read decided regions under
+        # | -> F U: the brute-force optimum on each of three samples, and
+        # bounds strictly below the interval rows' on some sample
+        template = parse_template(text)
+        last = template.hole_indices[-1]
+        below = False
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+            sample, params = random_sample(rng, props), random_params(rng, ROBUST)
+            out = repair(sample, [template], params, kappa=0.0,
+                         budget=SearchBudget(time_limit=120.0))
+            want = brute_force([template], sample, params)
+            assert not out.budget_expired and out.stats.bound_calls > 0
+            assert out.fitness == -want[0][0]
+            assert format_formula(out.best.formula) == want[0][2]
+            # every seventh filling with its last hole open: the point bound
+            # is never above the interval one
+            view, table = _View(template, props), _SlotTable(template, sample, params)
+            for fl in itertools.islice(enumerate_fillings(template, props), 0, None, 7):
+                partial = {i: label for i, label in fl.assignment if i != last}
+                bound = bound_at(table, partial)
+                old = reference_bound(view, partial, sample, params)
+                assert bound <= old
+                below = below or bound < old
+        assert below
 
 
 # --- reference: the search loop without the closed-subtree cut ----------------
@@ -857,6 +1053,8 @@ class TestClosedSubtreeCut:
         assert stats.leaves == stats.scored + stats.rejected_trivial
         assert sum(stats.cut_by_rule.values()) == stats.cut_closed
         assert sum(stats.rejected_by_rule.values()) == stats.rejected_trivial
+        assert [t.index for t in stats.templates] == list(range(len(templates)))
+        assert_templates_sum(stats)
         # every trivial leaf of the reference is rejected at the leaf or lies
         # below a cut (a cut's holes are a prefix of the hole order)
         cut_prefixes = {tuple(sorted(cut.items())) for cut in cuts}
