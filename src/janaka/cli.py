@@ -33,12 +33,13 @@ from .pipeline import (
     eval_formula,
     format_bench_table,
     janaka_run,
+    load_sample,
     setting_cast,
 )
 from .repair import SearchBudget, repair
 from .semantics import DISCOUNTED, ROBUST, SemanticsParams
 from .templates import parse_template
-from .traces import generate_traces, infer_props, parse_traces, serialize_sample
+from .traces import generate_traces, serialize_sample
 
 EXIT_OK = 0
 EXIT_BEST_EFFORT = 2
@@ -143,12 +144,6 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _sample(cfg: RunConfig):
-    """The traces file, read with the configured atoms, else those it uses."""
-    text = Path(cfg.traces_path).read_text()
-    return parse_traces(text, PropositionSet(cfg.props) if cfg.props else infer_props(text))
-
-
 def _write_out(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -164,7 +159,7 @@ def cmd_mine(args) -> int:
 
 def cmd_repair(args) -> int:
     cfg = _run_config(args)
-    sample = _sample(cfg)
+    sample = load_sample(cfg)
     templates = [parse_template(t) for t in args.template]
     outcome = repair(sample, templates, cfg.semantics, kappa=cfg.kappa, budget=cfg.budget)
     _write_out(json.dumps(_outcome_dict(outcome, None), indent=2, sort_keys=True) + "\n",
@@ -174,7 +169,7 @@ def cmd_repair(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
-    result = eval_formula(args.formula, _sample(cfg), cfg.semantics, both=args.both)
+    result = eval_formula(args.formula, load_sample(cfg), cfg.semantics, both=args.both)
     _write_out(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -192,7 +187,7 @@ def cmd_gen_traces(args) -> int:
 
 def cmd_export_milp(args) -> int:
     cfg = _run_config(args)
-    sample = _sample(cfg)
+    sample = load_sample(cfg)
     template = parse_template(args.template)
     _write_out(export_milp(template, sample, cfg.semantics, d=template.depth), args.out)
     return EXIT_OK

@@ -352,8 +352,11 @@ def to_nnf(f: Formula) -> Formula:
 # --- qualitative finite-trace satisfaction ----------------------------------
 
 def _states_of(w) -> tuple[frozenset, ...]:
-    states = getattr(w, "states", w)
-    return tuple(frozenset(s) for s in states)
+    # a Trace froze its states when it was made; a raw sequence is frozen here
+    states = getattr(w, "states", None)
+    if states is not None:
+        return states
+    return tuple(frozenset(s) for s in w)
 
 
 def satisfaction_vector(f: Formula, states: Sequence[frozenset]) -> list[bool]:

@@ -335,9 +335,13 @@ class HttpChatProvider:
             error = ProviderServerError if status >= 500 else ProviderUnreachableError
             raise error(f"HTTP {status}: {text[:200]}")
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderUnreachableError(f"malformed provider response: {exc}") from exc
+        if not isinstance(content, str):  # null, or a list of parts
+            raise ProviderUnreachableError(
+                f"malformed provider response: content is {type(content).__name__}, not text")
+        return content
 
 
 # --- candidate extraction -----------------------------------------------------

@@ -12,7 +12,7 @@ discounted, [-1, robust_upper_bound] robust).
 
 A closed slot is Fixed, and so is every child its label reads: its subtree has
 no hole, so its scores are the same under every filling. The encoder computes
-them once, bottom-up with the kernels over the flat sample (one kernel call
+them once, bottom-up with the kernels over the Sample's layout (one kernel call
 per closed slot), and writes each y_{i,t,trace} as a fixed bound. A closed
 slot has no literal, case or sign rows, no auxiliaries and no selector or gate
 binaries. Where an open parent reads its sign, the sign is the fixed bound
@@ -80,7 +80,7 @@ from math import copysign
 from .errors import DepthExceededError, UnsupportedForExportError
 from .formulas import TRUE_ATOM
 from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code, literal_values
-from .semantics import DISCOUNTED, SemanticsParams, flat_layout, value_range
+from .semantics import DISCOUNTED, SemanticsParams, value_range
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
@@ -189,15 +189,13 @@ class _Encoder:
                 self.labels[i] = [slot.label]
         self.signs: dict[tuple, str] = {}
         self._ranges: dict[tuple[int, int], tuple[float, float]] = {}
-        states, segments = flat_layout(sample.traces)
-        self.starts = [start for start, _ in segments]
-        self.consts = self._closed_values(states, segments)
+        self.consts = self._closed_values()
 
-    def _closed_values(self, states, segments) -> dict[int, list]:
+    def _closed_values(self) -> dict[int, list]:
         """Each closed slot's scores over the flat sample, children first:
         one kernel call per slot. A slot is closed when it is Fixed and every
         child its label reads is closed."""
-        p = self.p
+        p, states, segments = self.p, self.sample.states, self.sample.segments
         values: dict[int, list] = {}
         for i, slot in reversed(self.t.slots):
             if not isinstance(slot, Fixed):
@@ -239,7 +237,7 @@ class _Encoder:
         s = self.signs[key] = f"s_{i}_{t}_{tr}"
         if i in self.consts:
             # a constant's sign is exact: a fixed bound, no rows, no band
-            self.e.bounds.append(f"{s} = {int(self.consts[i][self.starts[tr] + t] >= 0)}")
+            self.e.bounds.append(f"{s} = {int(self.consts[i][self.sample.starts[tr] + t] >= 0)}")
             return s
         m = self.absbound(i, t, n) + 1.0
         yv = self.y(i, t, tr)
@@ -290,7 +288,7 @@ class _Encoder:
                       if i not in self.consts]
         for tr, trace in enumerate(self.sample.traces):
             n = len(trace.states)
-            start = self.starts[tr]
+            start = self.sample.starts[tr]
             for i in sorted(self.labels):
                 values = self.consts.get(i)
                 for t in range(n):

@@ -34,16 +34,18 @@ read at the opposite one. The robust rows state their own:
 
 Kernels take the semantics parameters and their children's results and
 return the node's. A result is one flat list over the whole sample: the
-traces' suffix positions, concatenated in trace order. Every kernel but the
-literal entry's takes a keyword-only ``segments``, the ``(start, end)`` of each
-trace in that list, and each temporal kernel makes its right-to-left pass
-trace by trace, resetting its state at each trace end; without segments the
-whole list is one trace. The connectives and negation are elementwise and
-ignore the segments. The literal entry's kernels take an atom name and the
-states instead. The flag kernels take (values, flags) pairs. An endpoint kernel
-takes the endpoint vectors it reads; one that reads none learns the list's
-length from the segments, which it needs. Kernels do no validation; the public
-entry points do.
+traces' suffix positions, concatenated in trace order, as the
+:class:`~janaka.traces.Sample` lays its states out once, when it is made.
+Every kernel but the literal entry's takes a keyword-only ``segments``, the
+``(start, end)`` of each trace in that list (the Sample's ``segments``), and
+each temporal kernel makes its right-to-left pass trace by trace, resetting
+its state at each trace end; without segments the whole list is one trace.
+The connectives and negation are elementwise and ignore the segments. The
+literal entry's kernels take an atom name and the states instead. The flag
+kernels take (values, flags) pairs. An endpoint kernel takes the endpoint
+vectors it reads; one that reads none learns the list's length from the
+segments, which it needs. Kernels do no validation; the public entry points
+do.
 
 Qualitative (finite traces): X is strong next (false at the last position);
 U needs a witness inside the word.

@@ -38,17 +38,11 @@ from .llm import (
     request_candidates,
     top_k,
 )
+from .ops import evaluate
 from .repair import RepairOutcome, SearchBudget, repair
-from .semantics import (
-    DISCOUNTED,
-    ROBUST,
-    SemanticsParams,
-    sample_fitness,
-    satisfies_all,
-    value_of,
-)
+from .semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, satisfies_all
 from .templates import GTEMP, RANDOM, WITH_GF, make_templates
-from .traces import Sample, generate_traces, infer_props, parse_traces
+from .traces import Sample, generate_traces, infer_props, parse_traces, start_mean
 
 AUTO = "auto"
 STRATEGY_ORDER = (GTEMP, RANDOM, WITH_GF)
@@ -191,13 +185,14 @@ def make_provider(cfg: RunConfig):
     if cfg.provider == "mock":
         if not cfg.fixtures:
             raise ConfigError("the mock provider needs --fixtures (a directory of responses)")
-        return MockChatProvider(fixture_dir=cfg.fixtures)
+        return checked(MockChatProvider, fixture_dir=cfg.fixtures)
     if not cfg.endpoint or not cfg.model:
         raise ConfigError("the http provider needs --endpoint and --model")
     return HttpChatProvider(cfg.endpoint, cfg.model, temperature=cfg.temperature)
 
 
 def load_sample(cfg: RunConfig) -> Sample:
+    """The traces file, read with the configured atoms, else those it uses."""
     if not cfg.traces_path:
         raise ConfigError("no trace file configured")
     text = Path(cfg.traces_path).read_text()
@@ -324,24 +319,22 @@ def eval_formula(
     formula_text: str, sample: Sample, params: SemanticsParams, both: bool = False
 ) -> dict:
     """Per-trace and mean scores for one formula, optionally under both
-    semantics (the robust side evaluates the NNF)."""
+    semantics (the robust side evaluates the NNF). Each semantics makes one
+    walk over the sample's layout, and satisfaction one more, all read at
+    the trace starts."""
     f = parse_formula(formula_text, sample.props)
+    states, segments, starts = sample.states, sample.segments, sample.starts
+    sats = evaluate(f, states, "qualitative", None, segments)
 
     def table(p: SemanticsParams) -> dict:
-        rows = []
-        for w in sample.traces:
-            v = value_of(f, w, p)
-            rows.append(
-                {
-                    "score": v.value,
-                    "decisive": v.decisive,
-                    "sat": bool(satisfies_all(f, Sample((w,), sample.props))[0]),
-                }
-            )
-        return {
-            "mean": sample_fitness(f, sample, p),
-            "per_trace": rows,
-        }
+        if p.kind == ROBUST:
+            vals, flags = evaluate(f if is_nnf(f) else to_nnf(f), states, "robust_pair", p,
+                                   segments)
+        else:
+            vals, flags = evaluate(f, states, DISCOUNTED, p, segments), None
+        rows = [{"score": vals[k], "decisive": flags is None or flags[k], "sat": bool(sats[k])}
+                for k in starts]
+        return {"mean": start_mean(vals, starts), "per_trace": rows}
 
     out = {"formula": format_formula(f), "props": list(sample.props)}
     if both:
@@ -378,6 +371,8 @@ def _case_config(path: Path) -> dict:
     parser.read(path)
     if "case" not in parser:
         raise ConfigError(f"{path} has no [case] section")
+    if "formula" not in parser["case"]:
+        raise ConfigError(f"{path} sets no formula")
     return dict(parser["case"])
 
 
@@ -448,8 +443,9 @@ def run_case(case_dir: Path) -> dict:
 
 
 def bench_run(suite_dir, out_dir=None) -> dict:
-    """Run every case directory under the suite; per-case failures are
-    isolated into their row and the suite continues."""
+    """Run every case directory under the suite; per-case failures (an
+    error of janaka's or a file that cannot be read) are isolated into their
+    row and the suite continues."""
     suite_dir = Path(suite_dir)
     cases = sorted(p for p in suite_dir.iterdir() if (p / "case.ini").exists())
     if not cases:
@@ -461,7 +457,7 @@ def bench_run(suite_dir, out_dir=None) -> dict:
     def one(case_dir: Path) -> dict:
         try:
             return run_case(case_dir)
-        except JanakaError as exc:
+        except (JanakaError, OSError) as exc:
             return {"case": case_dir.name, "error": f"{type(exc).__name__}: {exc}", "ok": False}
 
     rows = [one(c) for c in cases]

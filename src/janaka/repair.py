@@ -76,7 +76,7 @@ filling is its fitness.
 
 A search keeps one per-slot table (:class:`_SlotTable`) for its template,
 sample and semantics parameters. For every slot it holds flat entries over
-the whole sample, in the layout of :func:`janaka.semantics.flat_layout` (the
+the whole sample, in the layout the :class:`~janaka.traces.Sample` holds (the
 traces' positions concatenated, with each trace's segment): the low and the
 high of the bound, each kept on its own, and the value vector of leaf
 scoring, each made by one kernel call for all traces, and the slot's
@@ -97,11 +97,11 @@ holds that label's :class:`_Row`, compiled the first time the slot takes the
 label, with its children's slots and, per entry, the kernel and the
 children's entries it reads. Recomputing an entry or an id takes each
 child's where it lies and recurses only into a child without one. The bound
-and the leaf score read the root at the trace starts only, summed in trace
-order and divided by the trace count, as
-:func:`janaka.semantics.sample_fitness` does, so leaf scores equal it bit
-for bit; a root labelled ``&``, ``|`` or ``->``, whose kernels read each
-position alone, computes its entries at the trace starts only.
+and the leaf score read the root at the trace starts only, with
+:func:`janaka.traces.start_mean`, as :func:`janaka.semantics.sample_fitness`
+does, so leaf scores equal it bit for bit; a root labelled ``&``, ``|`` or
+``->``, whose kernels read each position alone, computes its entries at the
+trace starts only.
 
 What a search did is counted in :class:`SearchStats`.
 """
@@ -118,7 +118,6 @@ from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
-    EmptySampleError,
     NoTemplatesError,
     UnknownAtomError,
     UnsupportedNegationError,
@@ -155,7 +154,6 @@ from .ops import (
     OR,
     UNARY_OPS,
     UNTIL,
-    Endpoint,
     Op,
     arity,
     evaluate,
@@ -163,12 +161,11 @@ from .ops import (
 )
 from .semantics import (
     SemanticsParams,
-    flat_layout,
     sample_fitness,  # noqa: F401  (as eval_qualitative above)
     value_range,
 )
 from .templates import Fixed, Hole, Template
-from .traces import Sample
+from .traces import Sample, start_mean
 
 log = logging.getLogger("janaka.repair")
 
@@ -411,8 +408,10 @@ class _SlotTable:
     def __init__(self, template: Template, sample: Sample | None = None,
                  p: SemanticsParams | None = None):
         self.params = p
-        self.states, self.segments = flat_layout(sample.traces) if sample is not None else ([], [])
-        self.starts = [start for start, _ in self.segments]
+        if sample is not None:
+            self.states, self.segments, self.starts = sample.states, sample.segments, sample.starts
+        else:
+            self.states = self.segments = self.starts = ()
         self.heights = template.heights
         self.holes = template.hole_indices
         size = max(template.slot_map, default=0) + 1
@@ -620,13 +619,9 @@ class _SlotTable:
         return self._mean(self._entry(1, VALUE))
 
     def _mean(self, entry) -> float:
-        # the root's entry at the trace starts, summed in trace order and
-        # divided by the trace count, as sample_fitness does
+        # the root's entry where it holds the trace starts
         row = self._rows[1]
-        total = 0.0
-        for k in self.starts if row is None else row.at:
-            total += entry[k]
-        return total / len(self.starts)
+        return start_mean(entry, self.starts if row is None else row.at)
 
     def verdict(self, i: int = 1) -> int:
         """The interned id of slot i's subtree, every hole of which must be
@@ -828,18 +823,14 @@ def _validate_templates(templates, props):
                     raise UnknownAtomError(name, list(props))
 
 
-def _scores(f: Formula, traces, params: SemanticsParams):
+def _scores(f: Formula, sample: Sample, params: SemanticsParams):
     """(fitness, per-trace values, per-trace satisfaction) of an NNF formula:
-    one walk per semantics over the flat layout, read at the trace starts
-    and summed as :func:`janaka.semantics.sample_fitness` sums them."""
-    states, segments = flat_layout(traces)
-    vals = evaluate(f, states, params.kind, params, segments)
-    sats = evaluate(f, states, "qualitative", None, segments)
-    scores = [vals[start] for start, _ in segments]
-    total = 0.0
-    for v in scores:
-        total += v
-    return total / len(scores), scores, [sats[start] for start, _ in segments]
+    one walk per semantics over the sample's layout, read at the trace
+    starts, the fitness as :func:`janaka.semantics.sample_fitness` reads it."""
+    vals = evaluate(f, sample.states, params.kind, params, sample.segments)
+    sats = evaluate(f, sample.states, "qualitative", None, sample.segments)
+    starts = sample.starts
+    return start_mean(vals, starts), [vals[k] for k in starts], [sats[k] for k in starts]
 
 
 class _Stop(Exception):
@@ -859,9 +850,6 @@ def repair(
     budget_expired set (never worse than any earlier incumbent)."""
     if not templates:
         raise NoTemplatesError("repair needs at least one template")
-    traces = getattr(sample, "traces", sample)
-    if not traces:
-        raise EmptySampleError("repair needs a non-empty sample")
     _validate_templates(templates, sample.props)
 
     deadline = time.monotonic() + budget.time_limit
@@ -951,7 +939,7 @@ def repair(
             None, float("-inf"), float("-inf"), [], explored, elapsed, False, expired,
             stats=stats,
         )
-    fitness, scores, sats = _scores(best.formula, traces, params)
+    fitness, scores, sats = _scores(best.formula, sample, params)
     log.info(
         "repair done: fitness=%.9f total=%.9f elapsed=%.3fs %s",
         fitness, sum(scores), elapsed, stats,

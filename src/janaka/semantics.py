@@ -7,10 +7,11 @@ each operator are the kernels of the operator table, whose docstring
 (:mod:`janaka.ops`) summarizes both semantics.
 
 :func:`sample_fitness`, which ranks candidates and scores results, makes one
-such walk over the whole sample: the traces' states concatenated, with each
-trace's ``(start, end)`` segment (:func:`flat_layout`), so every kernel runs
-once per node rather than once per node and trace. The repair search keeps its
-per-slot vectors in the same layout.
+such walk over the whole sample in the flat layout the
+:class:`~janaka.traces.Sample` holds (its traces' states concatenated, with
+each trace's ``(start, end)`` segment), so every kernel runs once per node
+rather than once per node and trace. The repair search and the MILP export
+read the same layout from the Sample.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptySampleError, EmptyTraceError, NotInNNFError
+from .errors import EmptyTraceError, NotInNNFError
 from .formulas import Formula, _states_of, eval_qualitative, is_nnf, to_nnf
 from .ops import DISCOUNTED, ROBUST, evaluate
+from .traces import Sample, Trace, start_mean
 
 
 @dataclass(frozen=True)
@@ -83,38 +85,20 @@ def value_of(f: Formula, w, p: SemanticsParams) -> Valuation:
     return discounted_value(f, w, p)
 
 
-def flat_layout(traces) -> tuple[list, list[tuple[int, int]]]:
-    """The traces' states concatenated in trace order, and each trace's
-    ``(start, end)`` in that list: the layout the kernels take
-    (:mod:`janaka.ops`). The traces are Trace objects or state sequences."""
-    states: list = []
-    segments = []
-    for w in traces:
-        own = _states_of(w)
-        if not own:
-            raise EmptyTraceError("cannot evaluate on an empty trace")
-        segments.append((len(states), len(states) + len(own)))
-        states.extend(own)
-    return states, segments
-
-
 def sample_fitness(f: Formula, sample, p: SemanticsParams) -> float:
     """Mean valuation over the sample's traces (normalized by trace count).
 
-    One evaluation covers the whole sample in the flat layout; the values at
-    the trace starts are summed in trace order, so the result equals summing
-    each trace's own valuation bit for bit."""
-    traces = list(getattr(sample, "traces", sample))
-    if not traces:
-        raise EmptySampleError("sample has no traces")
+    One evaluation covers the whole sample in its flat layout, read at the
+    trace starts by :func:`janaka.traces.start_mean`, so the result equals
+    summing each trace's own valuation bit for bit. A plain sequence of
+    traces (Traces or state sequences) is laid out as a Sample first;
+    fitness reads no proposition set, so it is given none."""
+    if not isinstance(sample, Sample):
+        sample = Sample(tuple(Trace(getattr(w, "states", w)) for w in sample), None)
     g = to_nnf(f) if p.kind == ROBUST and not is_nnf(f) else f
-    states, segments = flat_layout(traces)
     # the values alone, without decisive flags
-    vals = evaluate(g, states, p.kind, p, segments)
-    total = 0.0
-    for start, _ in segments:
-        total += vals[start]
-    return total / len(traces)
+    vals = evaluate(g, sample.states, p.kind, p, sample.segments)
+    return start_mean(vals, sample.starts)
 
 
 def satisfies_all(f: Formula, sample) -> tuple[bool, list[bool]]:

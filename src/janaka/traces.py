@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExhaustedError,
@@ -51,18 +51,44 @@ class Trace:
 
 @dataclass(frozen=True)
 class Sample:
-    """Non-empty set of traces over a shared proposition set."""
+    """Non-empty set of traces over a shared proposition set.
+
+    A Sample is laid out once, when it is made, in the layout every kernel
+    takes (:mod:`janaka.ops`): ``states`` holds its traces' states
+    concatenated in trace order, ``segments`` each trace's ``(start, end)``
+    in that list and ``starts`` each trace's start."""
 
     traces: tuple[Trace, ...]
     props: PropositionSet
+    states: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
+    segments: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.traces:
             raise EmptySampleError("sample must contain at least one trace")
         object.__setattr__(self, "traces", tuple(self.traces))
+        states: list = []
+        segments = []
+        for w in self.traces:
+            segments.append((len(states), len(states) + len(w.states)))
+            states.extend(w.states)
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "starts", tuple(start for start, _ in segments))
 
     def __len__(self) -> int:
         return len(self.traces)
+
+
+def start_mean(values, starts) -> float:
+    """The mean of ``values`` at ``starts``, summed in that order: with a
+    Sample's root vector and starts, its fitness, equal bit for bit to the
+    sum of each trace's own valuation over the trace count."""
+    total = 0.0
+    for k in starts:
+        total += values[k]
+    return total / len(starts)
 
 
 def _parse_state(text: str, props: PropositionSet, record: str):

@@ -58,15 +58,15 @@ class Captured(Exception):
     """Stops a command once the patched call has seen its arguments."""
 
 
-def capture(monkeypatch, name):
-    """Patch cli.<name> to record its arguments and stop the command."""
+def capture(monkeypatch, name, module=cli):
+    """Patch module.<name> to record its arguments and stop the command."""
     seen = {}
 
     def fake(*args, **kwargs):
         seen.update(args=args, kwargs=kwargs)
         raise Captured
 
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(module, name, fake)
     return seen
 
 
@@ -121,7 +121,8 @@ class TestIniSettings:
         ini.write_text("[run]\nprops = q,p\n")
 
         def props_reaching_parse_traces(*flags):
-            seen = capture(monkeypatch, "parse_traces")
+            # a traces file has one reader, pipeline.load_sample
+            seen = capture(monkeypatch, "parse_traces", pipeline)
             with pytest.raises(Captured):
                 cli.main([*command, "--traces", str(tmp_path / "traces.txt"), *flags])
             return list(seen["args"][1])

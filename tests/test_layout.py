@@ -14,15 +14,8 @@ from hypothesis import strategies as st
 from janaka.errors import EmptySampleError, EmptyTraceError
 from janaka.formulas import PropositionSet, is_nnf, to_nnf
 from janaka.ops import OPS, evaluate
-from janaka.semantics import (
-    DISCOUNTED,
-    ROBUST,
-    SemanticsParams,
-    _vector,
-    flat_layout,
-    sample_fitness,
-)
-from janaka.traces import Sample
+from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, _vector, sample_fitness
+from janaka.traces import Sample, Trace
 
 from gen import random_formula, random_trace, random_word
 
@@ -155,10 +148,10 @@ class TestEvaluate:
         f = random_formula(rng, depth=rng.randint(1, 4), atoms=ATOMS, mode="nnf")
         words = [random_word(rng, rng.randint(1, 6), ATOMS) for _ in range(rng.randint(1, 5))]
         p = SemanticsParams(0.9, 0.8, 0.1, DISCOUNTED if kind == DISCOUNTED else ROBUST)
-        states, segments = flat_layout(words)
-        assert segments == segments_of([len(w) for w in words])
+        sample = Sample(tuple(Trace(w) for w in words), PropositionSet(ATOMS))
+        assert list(sample.segments) == segments_of([len(w) for w in words])
         want = [evaluate(f, w, kind, p) for w in words]
-        got = evaluate(f, states, kind, p, segments)
+        got = evaluate(f, sample.states, kind, p, sample.segments)
         if kind == "robust_pair":
             same(got[0], flat([w[0] for w in want]))
             same(got[1], flat([w[1] for w in want]))

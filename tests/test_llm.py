@@ -538,12 +538,25 @@ class TestHttpProvider:
         assert not isinstance(info.value, ProviderServerError)
         assert len(stub.seen) == 3
 
-    @pytest.mark.parametrize("body", [b"<html>not json</html>", b'{"choices": []}'],
-                             ids=["not-json", "no-choice"])
-    def test_malformed_body(self, stub, body):
+    @pytest.mark.parametrize("body", [
+        b"<html>not json</html>",
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": [{"type": "text", "text": "F(p)"}]}}]}',
+    ], ids=["not-json", "no-choice", "null-content", "content-parts"])
+    def test_malformed_body(self, stub, body, tmp_path, monkeypatch, capsys):
         stub.reply = (200, {}, body)
         with pytest.raises(ProviderUnreachableError, match="malformed"):
             HttpChatProvider(stub.url, "m", api_key="k").complete([])
+        # a mine ends with its exit code, not a traceback
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        (tmp_path / "explain.txt").write_text("p always holds")
+        monkeypatch.setenv("JANAKA_API_KEY", "k")
+        code = cli.main(["mine", "--provider", "http", "--endpoint", stub.url, "--model", "m",
+                         "--traces", str(tmp_path / "traces.txt"),
+                         "--explanation", str(tmp_path / "explain.txt")])
+        assert code == 11
+        assert "malformed provider response" in capsys.readouterr().err
 
     def test_reply_that_is_not_http(self, stub):
         stub.reply = b"hello\r\n\r\n"

@@ -1,18 +1,31 @@
 import ast
 import configparser
 import dataclasses
+import json
+import random
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from janaka import cli, pipeline
-from janaka.errors import ConfigError
-from janaka.formulas import PropositionSet, parse_formula
+from janaka.errors import ConfigError, JanakaError
+from janaka.formulas import PropositionSet, format_formula, parse_formula
 from janaka.llm import MockChatProvider
 from janaka.repair import Filling, RepairOutcome, SearchBudget, repair
-from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, value_of
+from janaka.semantics import (
+    DISCOUNTED,
+    ROBUST,
+    SemanticsParams,
+    sample_fitness,
+    satisfies_all,
+    value_of,
+)
 from janaka.traces import Sample, Trace
+
+from gen import random_formula, random_trace
 
 PQ = PropositionSet(["p", "q"])
 PARAMS = SemanticsParams(0.9, 0.9, 0.1, ROBUST)
@@ -177,6 +190,37 @@ class TestBenchRun:
         assert bad["ok"] is False
         assert good["case"] == "good" and "error" not in good
 
+    def test_a_case_without_formula_or_explanation_becomes_an_error_row(self, tmp_path, capsys):
+        case_copy("case5", tmp_path / "a-good")
+        no_formula = case_copy("case5", tmp_path / "b-no-formula")
+        ini = configparser.ConfigParser()
+        ini.read(no_formula / "case.ini")
+        del ini["case"]["formula"]
+        with open(no_formula / "case.ini", "w") as fh:
+            ini.write(fh)
+        (case_copy("case5", tmp_path / "c-no-explanation") / "explanation.txt").unlink()
+        suite = pipeline.bench_run(tmp_path)
+        good, bad_ini, bad_files = suite["cases"]
+        assert good["case"] == "a-good" and "error" not in good
+        assert bad_ini["error"].startswith("ConfigError:") and "formula" in bad_ini["error"]
+        assert bad_files["error"].startswith("FileNotFoundError:")
+        assert "explanation.txt" in bad_files["error"]
+        assert not bad_ini["ok"] and not bad_files["ok"] and suite["ok"] is False
+        assert cli.main(["bench", "--suite", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 + 1  # header, rows, verdict
+
+    def test_an_empty_responses_directory_is_a_config_error(self, tmp_path, capsys):
+        case = case_copy("case5", tmp_path / "case5")
+        for response in (case / "responses").iterdir():
+            response.unlink()
+        [row] = pipeline.bench_run(tmp_path)["cases"]
+        assert row["error"].startswith("ConfigError:") and "response" in row["error"]
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n")
+        assert cli.main(["mine", "--traces", str(tmp_path / "traces.txt"),
+                         "--explanation", str(case / "explanation.txt"),
+                         "--fixtures", str(case / "responses")]) == 17
+        assert "Traceback" not in capsys.readouterr().err
+
 
 TABLE1 = Path(pipeline.__file__).parent / "suites" / "table1"
 
@@ -286,3 +330,79 @@ class TestUnreachableKappa:
         assert DISCOUNTED in {kind for kind, _ in settings}
         for kind, kappa in settings:
             pipeline.RunConfig(semantics=SemanticsParams(kind=kind), kappa=kappa).validate()
+
+
+# --- reference: eval_formula's per-trace loop before the flat passes, verbatim ------
+
+
+def reference_eval_formula(
+    formula_text: str, sample: Sample, params: SemanticsParams, both: bool = False
+) -> dict:
+    """Per-trace and mean scores for one formula, optionally under both
+    semantics (the robust side evaluates the NNF)."""
+    f = parse_formula(formula_text, sample.props)
+
+    def table(p: SemanticsParams) -> dict:
+        rows = []
+        for w in sample.traces:
+            v = value_of(f, w, p)
+            rows.append(
+                {
+                    "score": v.value,
+                    "decisive": v.decisive,
+                    "sat": bool(satisfies_all(f, Sample((w,), sample.props))[0]),
+                }
+            )
+        return {
+            "mean": sample_fitness(f, sample, p),
+            "per_trace": rows,
+        }
+
+    out = {"formula": format_formula(f), "props": list(sample.props)}
+    if both:
+        robust = SemanticsParams(params.alpha, params.beta, params.gamma, ROBUST)
+        disc = SemanticsParams(params.alpha, params.beta, params.gamma, DISCOUNTED)
+        out["robust"] = table(robust)
+        out["discounted"] = table(disc)
+    else:
+        out[params.kind] = table(params)
+    return out
+
+
+def outcome(run, *args):
+    # the result, or the error raised, compared by repr: repr tells -0.0
+    # from 0.0 and prints every float exactly
+    try:
+        return repr(run(*args))
+    except JanakaError as exc:
+        return repr(exc)
+
+
+class TestEvalFormula:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]), st.booleans())
+    def test_equals_the_per_trace_loop(self, seed, kind, both):
+        rng = random.Random(seed)
+        atoms = ["p", "q", "r"]
+        mode = rng.choice(["general", "no_not_until", "nnf"])
+        f = random_formula(rng, depth=rng.randint(1, 4), atoms=atoms, mode=mode)
+        sample = Sample(tuple(random_trace(rng, rng.randint(1, 8), atoms)
+                              for _ in range(rng.randint(1, 6))), PropositionSet(atoms))
+        params = SemanticsParams(
+            alpha=rng.choice([0.5, 0.9, 1.0]), beta=rng.choice([0.8, 1.0]),
+            gamma=rng.choice([0.0, 0.1]), kind=kind,
+        )
+        text = format_formula(f)
+        assert (outcome(pipeline.eval_formula, text, sample, params, both)
+                == outcome(reference_eval_formula, text, sample, params, both))
+
+    def test_the_cli_reads_the_traces_once(self, monkeypatch, tmp_path, capsys):
+        (tmp_path / "traces.txt").write_text("p,q;p,!q#\n!p,q#\n")
+        reads = []
+        parse = pipeline.parse_traces
+        monkeypatch.setattr(pipeline, "parse_traces", lambda *a: reads.append(a) or parse(*a))
+        assert cli.main(["eval", "--formula", "G(p)", "--traces",
+                         str(tmp_path / "traces.txt"), "--both"]) == 0
+        assert len(reads) == 1
+        want = reference_eval_formula("G(p)", parse(*reads[0]), PARAMS, both=True)
+        assert json.loads(capsys.readouterr().out) == want

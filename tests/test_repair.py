@@ -372,7 +372,7 @@ class TestRepair:
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         f = random_formula(rng, depth=rng.randint(1, 4), atoms=list(props), mode="nnf")
         sample, params = random_sample(rng, props), random_params(rng, kind)
-        fitness, scores, sats = repair_module._scores(f, sample.traces, params)
+        fitness, scores, sats = repair_module._scores(f, sample, params)
         assert repr(fitness) == repr(sample_fitness(f, sample, params))
         assert repr(list(zip(scores, sats))) == repr(
             [(value_of(f, w, params).value, eval_qualitative(f, w)) for w in sample.traces])

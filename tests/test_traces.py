@@ -104,6 +104,31 @@ class TestSerialize:
         assert parse_traces(serialize_sample(sample, pad_to=pad), PQ) == sample
 
 
+class TestLayout:
+    """A Sample holds its traces' states concatenated, with each trace's
+    (start, end) and start: the kernels' flat layout."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 10 ** 9))
+    def test_layout_is_the_traces_concatenated(self, lengths, seed):
+        rng = random.Random(seed)
+        traces = tuple(random_trace(rng, n, list(PQ)) for n in lengths)
+        sample = Sample(traces, PQ)
+        assert sample.states == tuple(s for t in traces for s in t.states)
+        ends = [sum(lengths[: k + 1]) for k in range(len(lengths))]
+        assert sample.segments == tuple(zip([0] + ends[:-1], ends))
+        assert sample.starts == tuple([0] + ends[:-1])
+        for (start, end), t in zip(sample.segments, traces):
+            assert sample.states[start:end] == t.states
+            assert all(a is b for a, b in zip(sample.states[start:end], t.states))
+
+    def test_layout_is_not_compared_or_printed(self):
+        a = Sample((Trace(states({"p"}, {"q"})),), PQ)
+        assert a == Sample((Trace(states({"p"}, {"q"})),), PQ)
+        assert hash(a) == hash(Sample((Trace(states({"p"}, {"q"})),), PQ))
+        assert "states=" not in repr(a).replace("Trace(states=", "")
+
+
 class TestGenerate:
     def test_globally_forced(self):
         s = generate_traces(Globally(Atom("p")), PQ, count=3, min_len=3, max_len=3, seed=7)
