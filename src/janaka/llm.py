@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedNegationError,
 )
 from .formulas import Formula, PropositionSet, format_formula, node_count, parse_formula, tokenize
-from .semantics import SemanticsParams, sample_fitness
+from .semantics import EvalStore, SemanticsParams, sample_fitness, store_for
 from .traces import Sample, serialize_sample
 
 ONESHOT = "oneshot"
@@ -503,19 +503,23 @@ def request_candidates(
 
 
 def top_k(
-    cands: CandidateSet, sample: Sample, params: SemanticsParams, k: int
+    cands: CandidateSet, sample: Sample, params: SemanticsParams, k: int,
+    store: EvalStore | None = None,
 ) -> list[tuple[Formula, float]]:
     """The k fittest candidates, ties broken by fewer nodes then canonical text.
 
     Candidates whose negations cannot be normalized for the robust semantics
-    sort last with fitness -inf.
+    sort last with fitness -inf. Every candidate is scored through one
+    store, the run's when given, so a subformula they share is evaluated
+    once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    store = store_for(store, sample, params)
     scored = []
     for f in cands.formulas:
         try:
-            fit = sample_fitness(f, sample, params)
+            fit = sample_fitness(f, sample, params, store=store)
         except UnsupportedNegationError:
             fit = float("-inf")
         scored.append((f, fit))

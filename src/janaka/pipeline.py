@@ -40,7 +40,14 @@ from .llm import (
 )
 from .ops import evaluate
 from .repair import RepairOutcome, SearchBudget, repair
-from .semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness, satisfies_all
+from .semantics import (
+    DISCOUNTED,
+    ROBUST,
+    EvalStore,
+    SemanticsParams,
+    sample_fitness,
+    satisfies_all,
+)
 from .templates import GTEMP, RANDOM, WITH_GF, make_templates
 from .traces import Sample, generate_traces, infer_props, parse_traces, start_mean
 
@@ -209,7 +216,10 @@ def janaka_run(
     """Run the full mining pipeline; inputs may be injected to bypass files.
 
     ``cfg.budget.time_limit`` bounds the whole run: the search gets what the
-    provider phase, its pauses between retries included, left of it."""
+    provider phase, its pauses between retries included, left of it. One
+    :class:`~janaka.semantics.EvalStore` over the sample serves the ranking,
+    the candidates' satisfaction rows and every repair call of the run, and
+    is dropped when the run ends."""
     cfg.validate()
     t_start = time.perf_counter()
     deadline = time.monotonic() + cfg.budget.time_limit
@@ -227,10 +237,11 @@ def janaka_run(
     cands = request_candidates(provider, bundle, cfg.max_retries, deadline)
     t_llm = time.perf_counter()
 
-    ranked = top_k(cands, sample, cfg.semantics, k=len(cands.formulas))
+    store = EvalStore(sample, cfg.semantics)
+    ranked = top_k(cands, sample, cfg.semantics, k=len(cands.formulas), store=store)
     cand_rows = []
     for f, fit in ranked:
-        ok, _ = satisfies_all(f, sample)
+        ok, _ = satisfies_all(f, sample, store)
         cand_rows.append({"formula": format_formula(f), "fitness": fit, "sat": ok})
 
     best_fit = ranked[0][1]
@@ -274,6 +285,7 @@ def janaka_run(
                     time_limit=max(deadline - time.monotonic(), 0.01),
                     node_limit=max(nodes_left, 1),
                 ),
+                store=store,
             )
             outcome.strategy = strategy
             nodes_left -= outcome.explored

@@ -41,19 +41,21 @@ rejects its formula, but the search never walks a leaf to decide it:
   a fixed G (F) over a fixed G (F) leaves the template nothing to enumerate.
 * Identical children, ``x & !x`` / ``x | !x``, and G or F over a
   propositional tautology are closed-subtree rules (:data:`RULES`). Every
-  slot's table entry carries the verdict of its subtree: an id interned per
-  table, keyed by the literal's label or by the operator's label and its
-  children's ids, so equal ids are equal formulas. Each id is judged once,
-  when it is interned: identical children are equal ids, ``x & !x`` compares
-  two literal labels, and the tautology test of a G or F child is cached per
-  id. The rule that fired (or None) is kept per id, and a formula is decoded
-  from its id only where one is needed: the incumbent's tie-break key,
-  :meth:`_SlotTable.formula` and :func:`enumerate_fillings`. A trivial
-  verdict makes every subtree above it trivial, so a branch is cut as soon as
-  the last hole below some slot is chosen and that slot's verdict is trivial
-  (``_View.closing`` names the slot per hole); a leaf whose root verdict is
-  trivial is rejected unscored. Both are counted per rule in
-  :class:`SearchStats`.
+  slot's table entry carries the verdict of its subtree: an id interned in
+  the run's :class:`~janaka.semantics.EvalStore`, keyed by the literal's
+  label or by the operator's label and its children's ids, so equal ids are
+  equal formulas. Each id is judged once, when it is interned: identical
+  children are equal ids, ``x & !x`` compares two literal labels, and the
+  tautology test of a G or F child is cached per id. The rule that fired
+  (or None) is kept per id, and so is the incumbent's tie-break key (the
+  node count, then the canonical text), made once per id when first asked
+  for. A formula is decoded from its id only
+  where one is needed: a new incumbent, :meth:`_SlotTable.formula` and
+  :func:`enumerate_fillings`. A trivial verdict makes every subtree above it
+  trivial, so a branch is cut as soon as the last hole below some slot is
+  chosen and that slot's verdict is trivial (``_View.closing`` names the
+  slot per hole); a leaf whose root verdict is trivial is rejected unscored.
+  Both are counted per rule in :class:`SearchStats`.
 
 The bound propagates per-position value intervals through the template, one
 endpoint at a time: the root's high is asked for, and each slot computes an
@@ -74,23 +76,28 @@ discounted semantics always. So each bound is at most the interval rows'
 and at least the fitness of each completion, and the bound of a complete
 filling is its fitness.
 
-A search keeps one per-slot table (:class:`_SlotTable`) for its template,
-sample and semantics parameters. For every slot it holds flat entries over
-the whole sample, in the layout the :class:`~janaka.traces.Sample` holds (the
-traces' positions concatenated, with each trace's segment): the low and the
-high of the bound, each kept on its own, and the value vector of leaf
-scoring, each made by one kernel call for all traces, and the slot's
-interned id. The enumeration pushes every label a hole takes, and the "?" it
-returns to on backtracking, to the table (:meth:`_SlotTable.set`); a label
-that differs from the hole's last one drops the entries of that hole and of
-every ancestor (``i, i >> 1, ..., 1``), so exactly the entries whose subtree
-changed are recomputed, when they are next read. A slot whose parent's
-operator flips keeps its entries: the endpoint it holds is served and only
-a missing one is computed. Value vectors are also kept per id: equal ids
-are equal formulas, so a non-root slot whose id already has a vector takes
-it and calls no kernel (the root's ids rarely repeat and are not kept).
-Fixed subtrees, literal vectors and the value ranges of open holes are
-computed once per table.
+A search keeps one per-slot table (:class:`_SlotTable`) for each template,
+over the sample and semantics parameters of its store. For every slot it
+holds flat entries over the whole sample, in the layout the
+:class:`~janaka.traces.Sample` holds (the traces' positions concatenated,
+with each trace's segment): the low and the high of the bound, each kept on
+its own, and the value vector of leaf scoring, each made by one kernel call
+for all traces, and the slot's interned id. The enumeration pushes every
+label a hole takes, and the "?" it returns to on backtracking, to the table
+(:meth:`_SlotTable.set`); a label that differs from the hole's last one drops
+the entries of that hole and of every ancestor (``i, i >> 1, ..., 1``), so
+exactly the entries whose subtree changed are recomputed, when they are next
+read. A slot whose parent's operator flips keeps its entries: the endpoint it
+holds is served and only a missing one is computed. Value vectors are also
+kept per id, in the store: equal ids are equal formulas, so a non-root slot
+whose id already has a vector takes it and calls no kernel (the root's ids
+rarely repeat and are not kept). One store serves every template of a repair
+call and, in :func:`janaka.pipeline.janaka_run`, every call of the run and
+the ranking of the candidates before them, so a subtree decided in one
+template, or a candidate's subformula, is computed once for all of them; so
+are literal vectors and the value ranges of open holes, the latter once per
+(height, remaining length). A template equal to one already searched is
+skipped.
 
 The table is a compiled recompute plan: a slot labelled with an operator
 holds that label's :class:`_Row`, compiled the first time the slot takes the
@@ -108,7 +115,6 @@ What a search did is counted in :class:`SearchStats`.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from array import array
@@ -134,52 +140,39 @@ from .formulas import (
     Or,
     PropositionSet,
     Until,
-    atoms_of,
     children,
-    decode_label,
     eval_qualitative,  # noqa: F401  (kept for perfbench's span tracer, which wraps it here)
-    format_formula,
-    node_count,
-    satisfaction_vector,
 )
 from .ops import (
     AND,
     BINARY_OPS,
-    FINALLY,
-    GLOBALLY,
     IMPLIES,
     NEGATION,
-    NEXT,
     OPS,
     OR,
     UNARY_OPS,
-    UNTIL,
     Op,
     arity,
-    evaluate,
-    literal_values,
 )
 from .semantics import (
+    QUALITATIVE,
+    RULES,
+    STACKING,
+    EvalStore,
     SemanticsParams,
+    _tautology,
     sample_fitness,  # noqa: F401  (as eval_qualitative above)
-    value_range,
+    store_for,
 )
 from .templates import Fixed, Hole, Template
 from .traces import Sample, start_mean
 
 log = logging.getLogger("janaka.repair")
 
-_STACKING = (GLOBALLY, FINALLY)  # directly nested, these are degenerate
-_TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
 _ELEMENTWISE = (AND, OR, IMPLIES)  # their kernels read each position alone
 
 # why a search stopped
 EXHAUSTED, TIME, NODES = "exhausted", "time", "nodes"
-
-# the closed-subtree triviality rules: identical children of a binary node,
-# x & !x or x | !x, and G or F over a propositional tautology
-IDENTICAL, COMPLEMENT, TAUTOLOGY = "identical", "complement", "tautology"
-RULES = (IDENTICAL, COMPLEMENT, TAUTOLOGY)
 
 
 def _per_rule() -> dict[str, int]:
@@ -232,7 +225,9 @@ class SearchStats:
     bounding it counts as computing its value, once for both endpoints.
     ``slot_hits`` counts the endpoints and value vectors served as a slot
     still held them, and ``value_shared`` the value vectors served by their
-    subtree's id from the memo, with no kernel call.
+    subtree's id from the store, with no kernel call. The store is the run's,
+    so these three counts include what earlier templates, repair calls and
+    the ranking of the run left in it.
     ``cut_by_rule`` and ``rejected_by_rule`` split ``cut_closed`` and
     ``rejected_trivial`` by the triviality rule that fired (:data:`RULES`).
 
@@ -248,11 +243,11 @@ class SearchStats:
     new incumbent's fitness (a change at equal fitness is a smaller
     tie-break key).
 
-    ``templates`` lists one :class:`TemplateStats` per template searched, in
-    search order: its leaves, scored leaves, bound calls, prunes and closed
-    cuts, which sum over the entries to the totals above, and why its search
-    stopped (the last entry's ``stop`` is the search's). It holds counts
-    only, no times."""
+    ``templates`` lists one :class:`TemplateStats` per distinct template
+    searched, in search order (a repeated template is skipped): its leaves,
+    scored leaves, bound calls, prunes and closed cuts, which sum over the
+    entries to the totals above, and why its search stopped (the last
+    entry's ``stop`` is the search's). It holds counts only, no times."""
 
     leaves: int = 0  # complete fillings reached
     cut_trivial: int = 0  # G/F labels withheld by the GG/FF cut
@@ -309,7 +304,7 @@ class _View:
         self.dead = any(
             isinstance(slot, Fixed) and (
                 i > 1 and i >> 1 not in m
-                or cut and slot.label in _STACKING and m.get(2 * i) == slot
+                or cut and slot.label in STACKING and m.get(2 * i) == slot
             )
             for i, slot in template.slots
         )
@@ -339,7 +334,7 @@ class _View:
             ]
             withheld = 0
             below = m.get(2 * i)
-            if cut and isinstance(below, Fixed) and below.label in _STACKING and below.label in own:
+            if cut and isinstance(below, Fixed) and below.label in STACKING and below.label in own:
                 own.remove(below.label)
                 withheld = 1
             unused = ((), 0) if fixed_below[i] else ((None,), 0)
@@ -349,7 +344,7 @@ class _View:
                 # a right child by a binary one
                 if i > 1 and arity(parent_label) < (2 if i % 2 else 1):
                     return unused
-                if cut and i % 2 == 0 and parent_label in _STACKING and parent_label in own:
+                if cut and i % 2 == 0 and parent_label in STACKING and parent_label in own:
                     return tuple(x for x in own if x != parent_label), withheld + 1
                 return tuple(own), withheld
 
@@ -393,25 +388,27 @@ class _SlotTable:
     over one sample under one set of parameters (module docstring). Holes get
     their labels through :meth:`set`, which drops the entries of the hole and
     of its ancestors; :meth:`bound`, :meth:`fitness` and :meth:`verdict` read
-    the labels as they stand. Without a sample it decodes formulas and
-    verdicts only.
+    the labels as they stand. A table given no store makes its own over the
+    sample and parameters; without a sample it decodes formulas and verdicts
+    only.
 
     :meth:`_entry` and :meth:`_id` read an operator slot's :class:`_Row`;
     the root's under ``& | ->`` reads its children at the trace starts only.
+    Ids, literal vectors, open-hole ranges and the value vectors of non-root
+    slots are the store's (:class:`janaka.semantics.EvalStore`), shared with
+    every other table and stage of the run.
 
     ``recomputed`` counts kernel calls: a slot's value vector or endpoint
-    computed by its operator's kernel (leaves are read from the per-table
-    literal and open-range caches). ``hits`` counts value vectors and
+    computed by its operator's kernel (leaves are read from the store's
+    literal vectors and open ranges). ``hits`` counts value vectors and
     endpoints served as the slot still held them, and ``shared`` the value
-    vectors of non-root slots served by their id from the memo."""
+    vectors of non-root slots served by their id from the store."""
 
     def __init__(self, template: Template, sample: Sample | None = None,
-                 p: SemanticsParams | None = None):
-        self.params = p
-        if sample is not None:
-            self.states, self.segments, self.starts = sample.states, sample.segments, sample.starts
-        else:
-            self.states = self.segments = self.starts = ()
+                 p: SemanticsParams | None = None, store: EvalStore | None = None):
+        self.store = store if store is not None else EvalStore(sample, p)
+        self.params, self.segments, self.starts = (
+            self.store.params, self.store.segments, self.store.starts)
         self.heights = template.heights
         self.holes = template.hole_indices
         size = max(template.slot_map, default=0) + 1
@@ -431,18 +428,9 @@ class _SlotTable:
         self._values: list = [None] * size
         self._entries = (self._lows, self._highs, self._values)  # by LOW, HIGH, VALUE
         self._vids: list = [None] * size
-        self._memo: dict[int, array] = {}  # non-root value vectors by id
-        self._literals: dict = {}
-        self._ranges: dict = {}
-        # interned ids: a literal's key is its label, an operator node's
-        # (label, *child ids); per id its key, whether its formula has no
-        # temporal operator, and the triviality rule that fired (or None)
-        self._ids: dict = {}
-        self._keys: list = []
-        self._propositional: list[bool] = []
-        self._rules: list[str | None] = []
-        self._tautologies: dict[int, bool] = {}
-        self._formulas: dict[int, Formula] = {}
+        # the store's own id map, value vectors and rules, bound once: the
+        # search reads them for every slot a label change drops
+        self._ids, self._memo, self._rules = self.store.ids, self.store.values, self.store.rules
         self.recomputed = self.hits = self.shared = 0
 
     def set(self, i: int, label: str | None) -> None:
@@ -480,7 +468,7 @@ class _SlotTable:
     def _entry(self, i, e: int):
         """Slot i's entry e (:data:`LOW`, :data:`HIGH` or :data:`VALUE`),
         from the children's entries its row reads; a non-root slot whose id
-        has a value vector in the memo takes it, and calls no kernel."""
+        has a value vector in the store takes it, and calls no kernel."""
         entries = self._entries[e]
         out = entries[i]
         if out is not None:
@@ -490,11 +478,11 @@ class _SlotTable:
         if row is None:
             label = self.label[i]
             if label != "?":
-                out = self._literal(label)
+                out = self.store.literal(label)
             elif e == VALUE:
                 raise ValueError(f"slot {i} is unassigned")
             else:
-                out = self._open(self.heights[i])[e]
+                out = self.store.open_range(self.heights[i])[e]
         elif e != VALUE and self._id(i) != _OPEN:
             # a decided subtree is a point: its low and high are its values
             out = self._entry(i, VALUE)
@@ -517,22 +505,6 @@ class _SlotTable:
         entries[i] = out
         return out
 
-    def _literal(self, label: str):
-        out = self._literals.get(label)
-        if out is None:
-            out = self._literals[label] = literal_values(label, self.states, self.params)
-        return out
-
-    def _open(self, height: int):
-        # (lows, highs) of an unresolved hole of the given height
-        out = self._ranges.get(height)
-        if out is None:
-            p = self.params
-            ranges = [value_range(height, end - t, p)
-                      for start, end in self.segments for t in range(start, end)]
-            out = self._ranges[height] = ([lo for lo, _ in ranges], [hi for _, hi in ranges])
-        return out
-
     def _id(self, i) -> int:
         """Slot i's interned id, or :data:`_OPEN` where a hole below it is
         unresolved; kept until :meth:`set` drops it."""
@@ -545,10 +517,8 @@ class _SlotTable:
             label = self.label[i]
             if label == "?":
                 vid = _OPEN
-            else:
-                vid = self._ids.get(label)
-                if vid is None:
-                    vid = self._intern(label, True, None)
+            elif (vid := self._ids.get(label)) is None:
+                vid = self.store.literal_id(label)
         else:
             # loops here, not comprehensions: before CPython 3.12 each
             # comprehension is a call of its own
@@ -563,51 +533,10 @@ class _SlotTable:
                 key.append(k)
             else:
                 key = tuple(key)
-                vid = self._ids.get(key)
-                if vid is None:
-                    vid = self._judge(row.op, key)
+                if (vid := self._ids.get(key)) is None:
+                    vid = self.store.judge(row.op, key)
         vids[i] = vid
         return vid
-
-    def _intern(self, key, propositional: bool, rule: str | None) -> int:
-        vid = self._ids[key] = len(self._keys)
-        self._keys.append(key)
-        self._propositional.append(propositional)
-        self._rules.append(rule)
-        return vid
-
-    def _judge(self, op, key) -> int:
-        """Interns a new operator node's key, (label, *child ids), judged by
-        the closed-subtree rules of :func:`triviality_filter`; GG and FF are
-        the enumeration's cut."""
-        kids = key[1:]
-        props, rules = self._propositional, self._rules
-        propositional, rule = op.label not in _TEMPORAL, None
-        for k in kids:
-            propositional = propositional and props[k]
-            rule = rule or rules[k]  # the first trivial child's
-        if rule is None:
-            if op.arity == 2:
-                left, right = kids
-                if left == right:
-                    rule = IDENTICAL
-                elif op.label in (AND, OR) and self._complementary(left, right):
-                    rule = COMPLEMENT
-            elif op.label in _STACKING and props[kids[0]] and self._tautology(kids[0]):
-                rule = TAUTOLOGY
-        return self._intern(key, propositional, rule)
-
-    def _complementary(self, a: int, b: int) -> bool:
-        # x and !x are literals: only a literal's key is its label
-        x, y = self._keys[a], self._keys[b]
-        return isinstance(x, str) and isinstance(y, str) and (
-            y == NEGATION + x or x == NEGATION + y)
-
-    def _tautology(self, vid: int) -> bool:
-        out = self._tautologies.get(vid)
-        if out is None:
-            out = self._tautologies[vid] = _tautology(self.decode(vid))
-        return out
 
     def bound(self) -> float:
         """Mean over the traces of the root's high at each trace start."""
@@ -640,15 +569,7 @@ class _SlotTable:
 
     def decode(self, vid: int) -> Formula:
         """The formula of an id."""
-        out = self._formulas.get(vid)
-        if out is None:
-            key = self._keys[vid]
-            if isinstance(key, str):
-                out = decode_label(key)
-            else:
-                out = OPS[key[0]].cls(*[self.decode(k) for k in key[1:]])
-            self._formulas[vid] = out
-        return out
+        return self.store.decode(vid)
 
     def formula(self) -> Formula:
         """The formula of the labels as they stand, every hole decided."""
@@ -747,21 +668,6 @@ def enumerate_fillings(template: Template, props: PropositionSet):
 # --- triviality filter ----------------------------------------------------------
 
 
-def _tautology(f: Formula) -> bool:
-    """Whether a formula without temporal operators holds under every truth
-    assignment of its atoms; one with more than ten atoms counts as not."""
-    atoms = sorted(atoms_of(f) - {TRUE_ATOM})
-    if len(atoms) > 10:
-        return False
-    # one state per truth assignment; f has no temporal operator, so its
-    # truth at each position is its truth under that assignment
-    states = [
-        frozenset(a for a, bit in zip(atoms, bits) if bit)
-        for bits in itertools.product((False, True), repeat=len(atoms))
-    ]
-    return all(satisfaction_vector(f, states))
-
-
 def _degenerate(f: Formula) -> tuple[bool, bool]:
     """(f has a degenerate node, f has no temporal operator), bottom-up."""
     kids = [_degenerate(c) for c in children(f)]
@@ -823,14 +729,15 @@ def _validate_templates(templates, props):
                     raise UnknownAtomError(name, list(props))
 
 
-def _scores(f: Formula, sample: Sample, params: SemanticsParams):
+def _scores(f: Formula, store: EvalStore):
     """(fitness, per-trace values, per-trace satisfaction) of an NNF formula:
-    one walk per semantics over the sample's layout, read at the trace
-    starts, the fitness as :func:`janaka.semantics.sample_fitness` reads it."""
-    vals = evaluate(f, sample.states, params.kind, params, sample.segments)
-    sats = evaluate(f, sample.states, "qualitative", None, sample.segments)
-    starts = sample.starts
-    return start_mean(vals, starts), [vals[k] for k in starts], [sats[k] for k in starts]
+    its vectors under the store's semantics and the qualitative one, read at
+    the trace starts, the fitness as :func:`janaka.semantics.sample_fitness`
+    reads it."""
+    vid = store.formula_id(f)
+    vals, sats = store.vector(vid), store.vector(vid, QUALITATIVE)
+    starts = store.starts
+    return start_mean(vals, starts), [vals[k] for k in starts], [bool(sats[k]) for k in starts]
 
 
 class _Stop(Exception):
@@ -843,14 +750,21 @@ def repair(
     params: SemanticsParams,
     kappa: float,
     budget: SearchBudget = SearchBudget(),
+    store: EvalStore | None = None,
 ) -> RepairOutcome:
     """Branch-and-bound over every template's fillings; returns the best
     non-trivial formula found within budget and whether its mean fitness
     reaches kappa. On budget expiry the incumbent so far is returned with
-    budget_expired set (never worse than any earlier incumbent)."""
+    budget_expired set (never worse than any earlier incumbent).
+
+    A template equal to one searched before is skipped: that search was
+    exhausted (else the search has stopped), so its answer cannot change.
+    Every table evaluates through `store`, the run's store for this sample
+    and these parameters; a call given none makes its own."""
     if not templates:
         raise NoTemplatesError("repair needs at least one template")
     _validate_templates(templates, sample.props)
+    store = store_for(store, sample, params)
 
     deadline = time.monotonic() + budget.time_limit
     start = time.monotonic()
@@ -858,11 +772,15 @@ def repair(
     best_fit = float("-inf")
     best_key = None
     stats = SearchStats()
+    searched: set[Template] = set()
 
     for index, template in enumerate(templates):
+        if template in searched:
+            continue
+        searched.add(template)
         before = _PER_TEMPLATE(stats)
         view = _View(template, sample.props)
-        table = _SlotTable(template, sample, params)
+        table = _SlotTable(template, store=store)
         last = len(view.steps) - 1
         closing = view.closing
 
@@ -906,20 +824,19 @@ def repair(
                 fit = table.fitness()
                 if not (fit > best_fit or (fit == best_fit and best is not None)):
                     continue
-                # the formula and its tie-break key only for leaves that can
-                # become the incumbent
-                formula = table.decode(vid)
-                key = (node_count(formula), format_formula(formula))
+                # the tie-break key only for leaves that can become the
+                # incumbent, read per id
+                key = store.tie_key(vid)
                 if fit > best_fit or key < best_key:
                     holes = tuple((i, assignment[i]) for i in sorted(assignment))
-                    best = Filling(holes, formula)
+                    best = Filling(holes, table.decode(vid))
                     best_fit = fit
                     best_key = key
                     stats.incumbents.append(
                         (time.monotonic() - start, index, stats.scored, fit))
                     log.debug(
                         "incumbent fitness=%.9f explored=%d prunes=%d formula=%s",
-                        fit, stats.scored, stats.prunes, format_formula(formula),
+                        fit, stats.scored, stats.prunes, key[1],
                     )
         except _Stop as stop:
             stats.stop = stop.args[0]
@@ -939,7 +856,7 @@ def repair(
             None, float("-inf"), float("-inf"), [], explored, elapsed, False, expired,
             stats=stats,
         )
-    fitness, scores, sats = _scores(best.formula, sample, params)
+    fitness, scores, sats = _scores(best.formula, store)
     log.info(
         "repair done: fitness=%.9f total=%.9f elapsed=%.3fs %s",
         fitness, sum(scores), elapsed, stats,

@@ -177,13 +177,18 @@ def serialize_state(state: frozenset, props: PropositionSet) -> str:
 
 def serialize_sample(sample: Sample, pad_to: int | None = None) -> str:
     """Inverse of parse_traces; pad_to appends '1' padding states up to a
-    common length (for prompt construction)."""
+    common length (for prompt construction). Each distinct state is
+    formatted once per call."""
     longest = max(len(t) for t in sample.traces)
     if pad_to is not None and pad_to < longest:
         raise PadTooShortError(f"pad_to={pad_to} is below the longest trace ({longest})")
+    text: dict[frozenset, str] = {}
+    for s in sample.states:
+        if s not in text:
+            text[s] = serialize_state(s, sample.props)
     lines = []
     for t in sample.traces:
-        parts = [serialize_state(s, sample.props) for s in t.states]
+        parts = [text[s] for s in t.states]
         if pad_to is not None:
             parts.extend(["1"] * (pad_to - len(t)))
         lines.append(";".join(parts) + "#")

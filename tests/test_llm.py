@@ -306,9 +306,9 @@ class TestRequestCandidates:
         # handed what is left, not the whole second again
         budgets = []
 
-        def spy(sample, templates, params, kappa, budget):
+        def spy(sample, templates, params, kappa, budget, store=None):
             budgets.append(budget)
-            return repair(sample, templates, params, kappa, budget)
+            return repair(sample, templates, params, kappa, budget, store)
 
         monkeypatch.setattr(pipeline, "repair", spy)
         provider = ScriptedProvider([RateLimitedError("busy", retry_after=0.8), FIVE])

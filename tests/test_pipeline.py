@@ -52,7 +52,7 @@ def fixed_repair(text, budgets=None, explored=1, met=False):
     verdict; it appends each call's budget to `budgets`."""
     f = parse_formula(text, PQ)
 
-    def fake(sample, templates, params, kappa, budget):
+    def fake(sample, templates, params, kappa, budget, store=None):
         if budgets is not None:
             budgets.append(budget)
         scores = [value_of(f, w, params).value for w in sample.traces]

@@ -38,6 +38,7 @@ from janaka.ops import FINALLY, IMPLIES, OPS, OR, UNTIL, arity, evaluate, litera
 from janaka.semantics import (
     DISCOUNTED,
     ROBUST,
+    EvalStore,
     SemanticsParams,
     sample_fitness,
     value_of,
@@ -372,7 +373,7 @@ class TestRepair:
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         f = random_formula(rng, depth=rng.randint(1, 4), atoms=list(props), mode="nnf")
         sample, params = random_sample(rng, props), random_params(rng, kind)
-        fitness, scores, sats = repair_module._scores(f, sample, params)
+        fitness, scores, sats = repair_module._scores(f, EvalStore(sample, params))
         assert repr(fitness) == repr(sample_fitness(f, sample, params))
         assert repr(list(zip(scores, sats))) == repr(
             [(value_of(f, w, params).value, eval_qualitative(f, w)) for w in sample.traces])
@@ -383,6 +384,27 @@ class TestRepair:
         assert out.best.formula == f
         assert repr((out.fitness, out.per_trace)) == repr(
             (fitness, list(zip(scores, sats))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]))
+    def test_a_repeated_template_is_searched_once(self, seed, kind):
+        # repair(sample, [t, t, u]) answers as repair(sample, [t, u]): the
+        # copy of t is skipped, so it adds no leaf and no per-template entry
+        rng = random.Random(seed)
+        props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
+        t, u = make_templates(
+            stacking_source(rng, props), d=1, strategy=rng.choice(STRATEGIES),
+            hole_prob=0.6, seed=seed, count=2,
+        )
+        sample, params = random_sample(rng, props), random_params(rng, kind)
+        once = repair(sample, [t, u], params, kappa=0.0)
+        twice = repair(sample, [t, t, u], params, kappa=0.0)
+        assert (twice.best is None) == (once.best is None)
+        if once.best is not None:
+            assert twice.best.formula == once.best.formula
+        assert repr((twice.fitness, twice.per_trace)) == repr((once.fitness, once.per_trace))
+        assert twice.explored == once.explored
+        assert [s.index for s in twice.stats.templates] == ([0] if t == u else [0, 2])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from(STRATEGIES))
@@ -980,11 +1002,11 @@ class TestPointBound:
 
 def reference_search(sample, templates, params):
     """repair's search without the closed-subtree cut, each step's labels
-    ranked by the same bound: (scored formulas in order, trivial leaves, best
-    formula, best fitness)."""
+    ranked by the same bound and each distinct template searched once:
+    (scored formulas in order, trivial leaves, best formula, best fitness)."""
     best, best_fit, best_key = None, float("-inf"), None
     scored, trivial_leaves = [], []
-    for template in templates:
+    for template in dict.fromkeys(templates):
         view = _View(template, sample.props)
         table = _SlotTable(template, sample, params)
         last = len(view.steps) - 1
@@ -1053,7 +1075,8 @@ class TestClosedSubtreeCut:
         assert stats.leaves == stats.scored + stats.rejected_trivial
         assert sum(stats.cut_by_rule.values()) == stats.cut_closed
         assert sum(stats.rejected_by_rule.values()) == stats.rejected_trivial
-        assert [t.index for t in stats.templates] == list(range(len(templates)))
+        assert [t.index for t in stats.templates] == [
+            templates.index(t) for t in dict.fromkeys(templates)]
         assert_templates_sum(stats)
         # every trivial leaf of the reference is rejected at the leaf or lies
         # below a cut (a cut's holes are a prefix of the hole order)
