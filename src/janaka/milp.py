@@ -11,9 +11,10 @@ constants are derived per node from the proven value ranges ([0,1]
 discounted, [-1, robust_upper_bound] robust).
 
 A closed slot is Fixed, and so is every child its label reads: its subtree has
-no hole, so its scores are the same under every filling. The encoder computes
-them once, bottom-up with the kernels over the Sample's layout (one kernel call
-per closed slot), and writes each y_{i,t,trace} as a fixed bound. A closed
+no hole, so its scores are the same under every filling. The encoder reads
+them from an :class:`~janaka.semantics.EvalStore` over the sample, by the
+slot's interned id (one kernel call per distinct closed subtree, over the
+Sample's layout), and writes each y_{i,t,trace} as a fixed bound. A closed
 slot has no literal, case or sign rows, no auxiliaries and no selector or gate
 binaries. Where an open parent reads its sign, the sign is the fixed bound
 s = 1 exactly when the score is >= 0, so a constant has no EPS band. What
@@ -63,8 +64,10 @@ scores fixed to their native values, each slot's rows (a closed slot's
 bounds) admit exactly its native scores.
 
 Row text is built from interned pieces: each distinct coefficient's signed
-"± c " prefix and each distinct number is formatted once per model, and
-`value_range` is looked up once per (height, remaining length).
+"± c " prefix and each distinct number is formatted once per model. The same
+store gives the literal rows their values, at the flat positions of the
+Sample's layout, and every y its bounds: the open range of the slot's height
+(:meth:`~janaka.semantics.EvalStore.open_range`), made once per height.
 
 `lp_optimum` parses the emitted subset back and solves it with scipy's MILP
 solver (linear models only: it refuses the robust encoding's quadratic rows);
@@ -79,8 +82,8 @@ from math import copysign
 
 from .errors import DepthExceededError, UnsupportedForExportError
 from .formulas import TRUE_ATOM
-from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code, literal_values
-from .semantics import DISCOUNTED, SemanticsParams, value_range
+from .ops import BINARY_OPS, OPS, UNARY_OPS, code_label, label_code
+from .semantics import DISCOUNTED, EvalStore, SemanticsParams
 from .templates import Fixed, Hole, Template
 from .traces import Sample
 
@@ -177,6 +180,10 @@ class _Encoder:
         self.t = template
         self.sample = sample
         self.p = params
+        self.store = EvalStore(sample, params)
+        # per slot, the (lows, highs) of its scores over the flat sample: the
+        # store's open range of the slot's height
+        self.ranges = {i: self.store.open_range(h) for i, h in template.heights.items()}
         self.m = template.slot_map
         self.e = _Emitter()
         self.labels: dict[int, list[str]] = {}
@@ -188,27 +195,23 @@ class _Encoder:
             else:
                 self.labels[i] = [slot.label]
         self.signs: dict[tuple, str] = {}
-        self._ranges: dict[tuple[int, int], tuple[float, float]] = {}
         self.consts = self._closed_values()
 
-    def _closed_values(self) -> dict[int, list]:
-        """Each closed slot's scores over the flat sample, children first:
-        one kernel call per slot. A slot is closed when it is Fixed and every
-        child its label reads is closed."""
-        p, states, segments = self.p, self.sample.states, self.sample.segments
-        values: dict[int, list] = {}
+    def _closed_values(self) -> dict:
+        """Each closed slot's scores over the flat sample: the store's vector
+        of the slot's id, interned children first. A slot is closed when it
+        is Fixed and every child its label reads is closed."""
+        store = self.store
+        ids: dict[int, int] = {}
         for i, slot in reversed(self.t.slots):
             if not isinstance(slot, Fixed):
                 continue
             op = OPS.get(slot.label)
-            if op is None:
-                values[i] = literal_values(slot.label, states, p)
-                continue
-            kids = (2 * i, 2 * i + 1)[: op.arity]
-            if all(k in values for k in kids):
-                values[i] = getattr(op, p.kind)(p, *(values[k] for k in kids),
-                                                segments=segments)
-        return values
+            kids = (2 * i, 2 * i + 1)[: op.arity] if op else ()  # a literal has none
+            if all(k in ids for k in kids):
+                key = (slot.label, *(ids[k] for k in kids)) if op else slot.label
+                ids[i] = store.intern(key)
+        return {i: store.vector(vid) for i, vid in ids.items()}
 
     # --- variable helpers ---------------------------------------------------
 
@@ -218,18 +221,17 @@ class _Encoder:
     def y(self, i: int, t: int, tr: int) -> str:
         return f"y_{i}_{t}_{tr}"
 
-    def ybound(self, i: int, t: int, n: int) -> tuple[float, float]:
-        key = (self.t.heights[i], n - t)
-        bound = self._ranges.get(key)
-        if bound is None:
-            bound = self._ranges[key] = value_range(*key, self.p)
-        return bound
+    def ybound(self, i: int, t: int, tr: int) -> tuple[float, float]:
+        """The range of y_{i,t,tr}."""
+        lows, highs = self.ranges[i]
+        k = self.sample.starts[tr] + t
+        return lows[k], highs[k]
 
-    def absbound(self, i: int, t: int, n: int) -> float:
-        lo, hi = self.ybound(i, t, n)
+    def absbound(self, i: int, t: int, tr: int) -> float:
+        lo, hi = self.ybound(i, t, tr)
         return max(abs(lo), abs(hi), 1.0)
 
-    def sign(self, i: int, t: int, tr: int, n: int) -> str:
+    def sign(self, i: int, t: int, tr: int) -> str:
         """Binary s with s=1 <-> y_{i,t,tr} >= 0 (eps margin below zero)."""
         key = (i, t, tr)
         if key in self.signs:
@@ -239,7 +241,7 @@ class _Encoder:
             # a constant's sign is exact: a fixed bound, no rows, no band
             self.e.bounds.append(f"{s} = {int(self.consts[i][self.sample.starts[tr] + t] >= 0)}")
             return s
-        m = self.absbound(i, t, n) + 1.0
+        m = self.absbound(i, t, tr) + 1.0
         yv = self.y(i, t, tr)
         self.e.row([(1.0, yv), (-m, s)], ">=", -m)
         self.e.row([(1.0, yv), (-m, s)], "<=", -EPS * m)
@@ -286,21 +288,20 @@ class _Encoder:
         case = self._disc_case if self.p.kind == DISCOUNTED else self._rob_case
         open_slots = [(i, lbls) for i, lbls in sorted(self.labels.items())
                       if i not in self.consts]
-        for tr, trace in enumerate(self.sample.traces):
-            n = len(trace.states)
-            start = self.sample.starts[tr]
+        for tr, (start, end) in enumerate(self.sample.segments):
+            n = end - start
             for i in sorted(self.labels):
                 values = self.consts.get(i)
                 for t in range(n):
                     if values is None:
-                        lo, hi = self.ybound(i, t, n)
+                        lo, hi = self.ybound(i, t, tr)
                         e.bounds.append(f"{e.number(lo)} <= {self.y(i, t, tr)} <= {e.number(hi)}")
                     else:  # a closed slot's scores are constants, with no rows
                         e.bounds.append(f"{self.y(i, t, tr)} = {e.number(values[start + t])}")
             for i, labels in open_slots:
                 literals = [lbl for lbl in labels if lbl not in OPS]
                 if literals:
-                    self._literals(i, literals, tr, trace.states)
+                    self._literals(i, literals, tr, n)
                 for lbl in labels:
                     if lbl in OPS:
                         # right to left, as the kernels scan: a temporal case
@@ -309,20 +310,20 @@ class _Encoder:
                         for t in range(n - 1, -1, -1):
                             nxt = case(i, lbl, t, tr, n, nxt)
 
-    def _literals(self, i, literals, tr, states):
+    def _literals(self, i, literals, tr, n):
         """y = v_l wherever literal label l fills slot i: one pair per
-        position, gated on the sum of the slot's literal binaries (see the
-        module docstring)."""
+        position of trace tr (n long), gated on the sum of the slot's literal
+        binaries (see the module docstring)."""
         e = self.e
-        n = len(states)
         xs = [self.x(i, lbl) for lbl in literals]
-        values = [literal_values(lbl, states, self.p) for lbl in literals]
+        values = [self.store.literal(lbl) for lbl in literals]
         discounted = self.p.kind == DISCOUNTED
+        start = self.sample.starts[tr]
         for t in range(n):
-            m = 2.0 if discounted else self.absbound(i, t, n) + 1.0
+            m = 2.0 if discounted else self.absbound(i, t, tr) + 1.0
             yv = self.y(i, t, tr)
-            e.row([(1.0, yv)] + [(m - v[t], x) for v, x in zip(values, xs)], "<=", m)
-            e.row([(-1.0, yv)] + [(m + v[t], x) for v, x in zip(values, xs)], "<=", m)
+            e.row([(1.0, yv)] + [(m - v[start + t], x) for v, x in zip(values, xs)], "<=", m)
+            e.row([(-1.0, yv)] + [(m + v[start + t], x) for v, x in zip(values, xs)], "<=", m)
 
     # discounted cases ---------------------------------------------------------
 
@@ -417,12 +418,12 @@ class _Encoder:
         )
         return g
 
-    def _witness_chain(self, name, child, t, tr, n, nxt):
+    def _witness_chain(self, name, child, t, tr, nxt):
         """r_t = v_t where v_t >= 0, else alpha*r_{t+1} (r_n = 0), the robust
         F and U kernels' chain; returns the sign binary of v_t and r_t's high."""
-        s = self.sign(child, t, tr, n)
+        s = self.sign(child, t, tr)
         r_next, hi_next = nxt if nxt else (None, 0.0)
-        hi = max(self.absbound(child, t, n), self.p.alpha * hi_next)
+        hi = max(self.absbound(child, t, tr), self.p.alpha * hi_next)
         m = 2 * hi
         self.e.eq_gated(name, [(1.0, self.y(child, t, tr))], 0.0, [s], m)
         carry = [(self.p.alpha, r_next)] if r_next else []
@@ -436,20 +437,20 @@ class _Encoder:
         xv = self.x(i, lbl)
         yv = self.y(i, t, tr)
         j, jr = 2 * i, 2 * i + 1
-        m_i = self.absbound(i, t, n) + 1.0
+        m_i = self.absbound(i, t, tr) + 1.0
         if lbl == "X":
             if t + 1 >= n:
                 e.eq_gated(yv, [], p.gamma, [xv], m_i)
                 return None
-            s = self.sign(j, t + 1, tr, n)
-            m = m_i + self.absbound(j, t + 1, n)
+            s = self.sign(j, t + 1, tr)
+            m = m_i + self.absbound(j, t + 1, tr)
             e.eq_gated(yv, [(1.0, self.y(j, t + 1, tr))], 0.0, [xv, s], m)
             e.eq_gated(yv, [], -1.0, [xv], m, off=[s])
             return None
         if lbl in ("&",):
-            sl, sr = self.sign(j, t, tr, n), self.sign(jr, t, tr, n)
+            sl, sr = self.sign(j, t, tr), self.sign(jr, t, tr)
             both = self._and_gate(f"b_{i}_{t}_{tr}_and", [sl, sr])
-            m = m_i + p.beta * self.absbound(j, t, n) * self.absbound(jr, t, n)
+            m = m_i + p.beta * self.absbound(j, t, tr) * self.absbound(jr, t, tr)
             # product case, quadratic rows gated on x and both
             e.row(
                 [(1.0, yv), (m, xv), (m, both)],
@@ -466,9 +467,9 @@ class _Encoder:
             e.eq_gated(yv, [], -1.0, [xv], m, off=[both])
             return None
         if lbl in ("|", "->"):
-            sl, sr = self.sign(j, t, tr, n), self.sign(jr, t, tr, n)
+            sl, sr = self.sign(j, t, tr), self.sign(jr, t, tr)
             yl, yr = self.y(j, t, tr), self.y(jr, t, tr)
-            m = m_i + self.absbound(j, t, n) + self.absbound(jr, t, n)
+            m = m_i + self.absbound(j, t, tr) + self.absbound(jr, t, tr)
             if lbl == "|":
                 gate = self._and_gate(f"b_{i}_{t}_{tr}_or", [sl, sr])
                 avg_terms = [(p.beta / 2, yl), (p.beta / 2, yr)]
@@ -485,8 +486,8 @@ class _Encoder:
             return None
         if lbl == "G":
             # ok_t = s_t and ok_{t+1}; S_t = v_t + alpha*S_{t+1} (Horner)
-            s = self.sign(j, t, tr, n)
-            lo, hi = self.ybound(j, t, n)
+            s = self.sign(j, t, tr)
+            lo, hi = self.ybound(j, t, tr)
             s_sum = f"S_{i}_{t}_{tr}"
             horner = [(1.0, s_sum), (-1.0, self.y(j, t, tr))]
             ok = s
@@ -507,7 +508,7 @@ class _Encoder:
             # not s_t itself
             chain_next, none_next = nxt if nxt else (None, None)
             r = f"r_{i}_{t}_{tr}_f"
-            s, hi = self._witness_chain(r, j, t, tr, n, chain_next)
+            s, hi = self._witness_chain(r, j, t, tr, chain_next)
             if none_next is None:
                 none = ([], [s])
             else:
@@ -523,8 +524,8 @@ class _Encoder:
             # none_t = not s^g_t and s^f_t and none_{t+1}, none_n true
             chain_next, fail_next, none_next = nxt if nxt else (None, None, None)
             r = f"r_{i}_{t}_{tr}_u"
-            sg, hi = self._witness_chain(r, jr, t, tr, n, chain_next)
-            sf = self.sign(j, t, tr, n)
+            sg, hi = self._witness_chain(r, jr, t, tr, chain_next)
+            sf = self.sign(j, t, tr)
             keep = sf
             if fail_next:
                 keep = self._and_gate(f"keep_{i}_{t}_{tr}", [sf], [fail_next])

@@ -666,13 +666,6 @@ def evaluate(f: Formula, states, kind: str, p=None, segments=None):
                   evaluate(f.right, states, kind, p, segments), segments=segments)
 
 
-def literal_values(label: str, states, p) -> list:
-    """Per-position values of a literal label (``p`` or ``!p``) under p.kind."""
-    neg = label.startswith(NEGATION)
-    out = getattr(LITERAL, p.kind)(p, label[1:] if neg else label, states)
-    return getattr(NOT, p.kind)(p, out) if neg else out
-
-
 def label_code(label: str) -> str:
     """The label's code in MILP variable names: the operator's code, or
     ``lit_<atom>`` / ``nlit_<atom>`` for a literal."""

@@ -393,7 +393,10 @@ def run_case(case_dir: Path) -> dict:
     case_dir = Path(case_dir)
     c = _case_config(case_dir / "case.ini")
     formula_text = c["formula"]
-    props = PropositionSet(atoms_in_order(parse_formula(formula_text)))
+    atoms = atoms_in_order(parse_formula(formula_text))
+    if not atoms:
+        raise ConfigError(f"formula = {formula_text!r} names no atom")
+    props = PropositionSet(atoms)
     ground_truth = parse_formula(formula_text, props)
 
     def given(cls, *names, **keys) -> dict:
@@ -405,6 +408,13 @@ def run_case(case_dir: Path) -> dict:
     def integer(key: str, default: int) -> int:
         return cast_setting(key, c[key], int) if key in c else default
 
+    def expect(key: str) -> bool:
+        text = c.get(key, "true")
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"{key} = {text!r} is neither true nor false")
+        return text.lower() == "true"
+
+    expect_sat, expect_improvement = expect("expect_sat"), expect("expect_improvement")
     params = checked(SemanticsParams,
                      **given(SemanticsParams, "alpha", "beta", "gamma", kind="semantics"))
     sample = checked(
@@ -436,9 +446,9 @@ def run_case(case_dir: Path) -> dict:
     final_sat, _ = satisfies_all(final, sample)
     final_fit = sample_fitness(final, sample, params)
     checks = {}
-    if c.get("expect_sat", "true").lower() == "true":
+    if expect_sat:
         checks["sat"] = final_sat
-    if c.get("expect_improvement", "true").lower() == "true":
+    if expect_improvement:
         checks["improvement"] = final_fit >= llm["fitness"]
     return {
         "case": case_dir.name,

@@ -44,13 +44,15 @@ rejects its formula, but the search never walks a leaf to decide it:
   slot's table entry carries the verdict of its subtree: an id interned in
   the run's :class:`~janaka.semantics.EvalStore`, keyed by the literal's
   label or by the operator's label and its children's ids, so equal ids are
-  equal formulas. Each id is judged once, when it is interned: identical
-  children are equal ids, ``x & !x`` compares two literal labels, and the
-  tautology test of a G or F child is cached per id. The rule that fired
-  (or None) is kept per id, and so is the incumbent's tie-break key (the
-  node count, then the canonical text), made once per id when first asked
-  for. A formula is decoded from its id only
-  where one is needed: a new incumbent, :meth:`_SlotTable.formula` and
+  equal formulas. The store only interns; the search judges. An id is
+  judged the first time the search reads its rule, at a closed cut or a
+  leaf, its children first (:meth:`_SlotTable.rule`): identical children
+  are equal ids, ``x & !x`` compares two literal labels, and the tautology
+  test of a G or F child is kept per id. The rule that fired (or None) is
+  kept per id, so the ids that the ranking of the candidates interns, and
+  the search never reads, are never judged. A formula is decoded from its
+  id only where one is needed: a new incumbent and its tie-break key (the
+  node count, then the canonical text), :meth:`_SlotTable.formula` and
   :func:`enumerate_fillings`. A trivial verdict makes every subtree above it
   trivial, so a branch is cut as soon as the last hole below some slot is
   chosen and that slot's verdict is trivial (``_View.closing`` names the
@@ -115,6 +117,7 @@ What a search did is counted in :class:`SearchStats`.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from array import array
@@ -140,27 +143,32 @@ from .formulas import (
     Or,
     PropositionSet,
     Until,
+    atoms_of,
     children,
     eval_qualitative,  # noqa: F401  (kept for perfbench's span tracer, which wraps it here)
+    format_formula,
+    node_count,
+    satisfaction_vector,
 )
 from .ops import (
     AND,
     BINARY_OPS,
+    FINALLY,
+    GLOBALLY,
     IMPLIES,
     NEGATION,
+    NEXT,
     OPS,
     OR,
     UNARY_OPS,
+    UNTIL,
     Op,
     arity,
 )
 from .semantics import (
     QUALITATIVE,
-    RULES,
-    STACKING,
     EvalStore,
     SemanticsParams,
-    _tautology,
     sample_fitness,  # noqa: F401  (as eval_qualitative above)
     store_for,
 )
@@ -170,6 +178,13 @@ from .traces import Sample, start_mean
 log = logging.getLogger("janaka.repair")
 
 _ELEMENTWISE = (AND, OR, IMPLIES)  # their kernels read each position alone
+STACKING = (GLOBALLY, FINALLY)  # directly nested, these are degenerate
+_TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
+
+# the closed-subtree triviality rules: identical children of a binary node,
+# x & !x or x | !x, and G or F over a propositional tautology
+IDENTICAL, COMPLEMENT, TAUTOLOGY = "identical", "complement", "tautology"
+RULES = (IDENTICAL, COMPLEMENT, TAUTOLOGY)
 
 # why a search stopped
 EXHAUSTED, TIME, NODES = "exhausted", "time", "nodes"
@@ -388,9 +403,9 @@ class _SlotTable:
     over one sample under one set of parameters (module docstring). Holes get
     their labels through :meth:`set`, which drops the entries of the hole and
     of its ancestors; :meth:`bound`, :meth:`fitness` and :meth:`verdict` read
-    the labels as they stand. A table given no store makes its own over the
-    sample and parameters; without a sample it decodes formulas and verdicts
-    only.
+    the labels as they stand, and :meth:`rule` judges an id. A table given no
+    store makes its own over the sample and parameters; without a sample it
+    decodes formulas and judges verdicts only.
 
     :meth:`_entry` and :meth:`_id` read an operator slot's :class:`_Row`;
     the root's under ``& | ->`` reads its children at the trace starts only.
@@ -428,9 +443,13 @@ class _SlotTable:
         self._values: list = [None] * size
         self._entries = (self._lows, self._highs, self._values)  # by LOW, HIGH, VALUE
         self._vids: list = [None] * size
-        # the store's own id map, value vectors and rules, bound once: the
-        # search reads them for every slot a label change drops
-        self._ids, self._memo, self._rules = self.store.ids, self.store.values, self.store.rules
+        # the store's own id map and value vectors, bound once: the search
+        # reads them for every slot a label change drops
+        self._ids, self._memo = self.store.ids, self.store.values
+        # per id, judged when its rule is first read: the rule and whether it
+        # has no temporal operator; and the tautology test of a G or F child
+        self._verdicts: dict[int, tuple[str | None, bool]] = {}
+        self._tautologies: dict[int, bool] = {}
         self.recomputed = self.hits = self.shared = 0
 
     def set(self, i: int, label: str | None) -> None:
@@ -518,7 +537,7 @@ class _SlotTable:
             if label == "?":
                 vid = _OPEN
             elif (vid := self._ids.get(label)) is None:
-                vid = self.store.literal_id(label)
+                vid = self.store.intern(label)
         else:
             # loops here, not comprehensions: before CPython 3.12 each
             # comprehension is a call of its own
@@ -534,7 +553,7 @@ class _SlotTable:
             else:
                 key = tuple(key)
                 if (vid := self._ids.get(key)) is None:
-                    vid = self.store.judge(row.op, key)
+                    vid = self.store.intern(key)
         vids[i] = vid
         return vid
 
@@ -564,8 +583,50 @@ class _SlotTable:
     def rule(self, vid: int) -> str | None:
         """The closed-subtree rule that makes the id's formula trivial, or
         None; GG and FF nesting are not judged here (the enumeration cuts
-        them)."""
-        return self._rules[vid]
+        them). An id is judged when its rule is first read, its children
+        first, and its verdict kept."""
+        return (self._verdicts.get(vid) or self._judge(vid))[0]
+
+    def _judge(self, vid: int) -> tuple[str | None, bool]:
+        # (rule, propositional) of an id, its children's judged first
+        key = self.store.keys[vid]
+        rule, propositional = None, True  # a literal's
+        if not isinstance(key, str):
+            # under a unary operator the right child is the left one
+            label, left, right = key[0], key[1], key[-1]
+            verdicts = self._verdicts
+            lv = verdicts.get(left) or self._judge(left)
+            rv = verdicts.get(right) or self._judge(right)
+            rule = lv[0] or rv[0]  # the first trivial child's
+            propositional = lv[1] and rv[1] and label not in _TEMPORAL
+            if rule is None and len(key) == 3:
+                if left == right:
+                    rule = IDENTICAL
+                elif label in (AND, OR) and self._complementary(left, right):
+                    rule = COMPLEMENT
+            elif rule is None and label in STACKING and lv[1]:
+                rule = TAUTOLOGY if self._tautology(left) else None
+        out = self._verdicts[vid] = rule, propositional
+        return out
+
+    def _complementary(self, a: int, b: int) -> bool:
+        # x and !x are literals: only a literal's key is its label
+        x, y = self.store.keys[a], self.store.keys[b]
+        return isinstance(x, str) and isinstance(y, str) and (
+            y == NEGATION + x or x == NEGATION + y)
+
+    def _tautology(self, vid: int) -> bool:
+        out = self._tautologies.get(vid)
+        if out is None:
+            out = self._tautologies[vid] = _tautology(self.decode(vid))
+        return out
+
+    def tie_key(self, vid: int) -> tuple[int, str]:
+        """The incumbent's tie-break key of an id's formula: its node count,
+        then its canonical text. A search reads it for at most one leaf per
+        id, so it is not kept."""
+        f = self.decode(vid)
+        return node_count(f), format_formula(f)
 
     def decode(self, vid: int) -> Formula:
         """The formula of an id."""
@@ -666,6 +727,21 @@ def enumerate_fillings(template: Template, props: PropositionSet):
 
 
 # --- triviality filter ----------------------------------------------------------
+
+
+def _tautology(f: Formula) -> bool:
+    """Whether a formula without temporal operators holds under every truth
+    assignment of its atoms; one with more than ten atoms counts as not."""
+    atoms = sorted(atoms_of(f) - {TRUE_ATOM})
+    if len(atoms) > 10:
+        return False
+    # one state per truth assignment; f has no temporal operator, so its
+    # truth at each position is its truth under that assignment
+    states = [
+        frozenset(a for a, bit in zip(atoms, bits) if bit)
+        for bits in itertools.product((False, True), repeat=len(atoms))
+    ]
+    return all(satisfaction_vector(f, states))
 
 
 def _degenerate(f: Formula) -> tuple[bool, bool]:
@@ -825,8 +901,8 @@ def repair(
                 if not (fit > best_fit or (fit == best_fit and best is not None)):
                     continue
                 # the tie-break key only for leaves that can become the
-                # incumbent, read per id
-                key = store.tie_key(vid)
+                # incumbent
+                key = table.tie_key(vid)
                 if fit > best_fit or key < best_key:
                     holes = tuple((i, assignment[i]) for i in sorted(assignment))
                     best = Filling(holes, table.decode(vid))

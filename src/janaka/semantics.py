@@ -16,66 +16,49 @@ read the same layout from the Sample.
 An :class:`EvalStore` holds one run's evaluations over one sample under one
 set of parameters, so that each is computed once however many stages ask for
 it: the ranking of the candidates, their satisfaction rows, every template's
-search and the final scores. It interns each distinct subformula once, as a
-hash-consed id (Filliâtre and Conchon, ML Workshop 2006): a literal's key is
-its label, an operator node's its label and its children's ids, so equal ids
-are equal formulas. Each id's vector over the whole sample is computed once
-and read by every formula that holds it, as Scarlet (Raha, Roy, Fijalkow and
-Neider, TACAS 2022) combines stored subformula vectors. A store lives as
-long as the run that made it; nothing is kept on the Sample, in the module or
-from one run to the next.
+search and the final scores; the MILP export makes one per model. It interns
+each distinct subformula once, as a hash-consed id (Filliâtre and Conchon, ML
+Workshop 2006): a literal's key is its label, an operator node's its label
+and its children's ids, so equal ids are equal formulas. Each id's vector
+over the whole sample is computed once and read by every formula that holds
+it, as Scarlet (Raha, Roy, Fijalkow and Neider, TACAS 2022) combines stored
+subformula vectors. A store lives as long as the run that made it; nothing
+is kept on the Sample, in the module or from one run to the next. The store
+interns and evaluates, and judges nothing: which formulas are trivial, and
+how incumbents tie, is decided by the repair search, on read
+(:mod:`janaka.repair`).
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyTraceError, NotInNNFError
 from .formulas import (
-    TRUE_ATOM,
     Atom,
     Formula,
     _states_of,
-    atoms_of,
     children,
     decode_label,
     eval_qualitative,  # noqa: F401  (kept for perfbench's span tracer, which wraps it here)
-    format_formula,
     is_nnf,
-    node_count,
-    satisfaction_vector,
     to_nnf,
 )
 from .ops import (
-    AND,
     DISCOUNTED,
-    FINALLY,
-    GLOBALLY,
     NEGATION,
-    NEXT,
     NOT,
     OPS,
-    OR,
     ROBUST,
-    UNTIL,
     LITERAL,
-    Op,
     evaluate,
     op_of,
 )
 from .traces import Sample, Trace, start_mean
 
 QUALITATIVE = "qualitative"
-STACKING = (GLOBALLY, FINALLY)  # directly nested, these are degenerate
-_TEMPORAL = (NEXT, FINALLY, GLOBALLY, UNTIL)
-
-# the closed-subtree triviality rules: identical children of a binary node,
-# x & !x or x | !x, and G or F over a propositional tautology
-IDENTICAL, COMPLEMENT, TAUTOLOGY = "identical", "complement", "tautology"
-RULES = (IDENTICAL, COMPLEMENT, TAUTOLOGY)
 
 
 @dataclass(frozen=True)
@@ -181,37 +164,16 @@ def satisfies_all(f: Formula, sample, store: EvalStore | None = None) -> tuple[b
 # --- the evaluation store -------------------------------------------------------
 
 
-def _tautology(f: Formula) -> bool:
-    """Whether a formula without temporal operators holds under every truth
-    assignment of its atoms; one with more than ten atoms counts as not."""
-    atoms = sorted(atoms_of(f) - {TRUE_ATOM})
-    if len(atoms) > 10:
-        return False
-    # one state per truth assignment; f has no temporal operator, so its
-    # truth at each position is its truth under that assignment
-    states = [
-        frozenset(a for a, bit in zip(atoms, bits) if bit)
-        for bits in itertools.product((False, True), repeat=len(atoms))
-    ]
-    return all(satisfaction_vector(f, states))
-
-
 class EvalStore:
     """One run's evaluations over one sample under one set of parameters
     (module docstring), each computed once.
 
-    Ids. :meth:`literal_id`, :meth:`node_id` (:meth:`judge` for a key not
-    yet interned) and :meth:`formula_id` intern a subformula. Per id the
-    store keeps its key, whether it has no temporal operator and the
-    closed-subtree rule that makes it trivial, or None: identical children
-    of a binary node, ``x & !x`` or ``x | !x``, and G or F over a
-    propositional tautology, as :func:`janaka.repair.triviality_filter`
-    judges them; GG and FF nesting are left to the repair enumeration, which
-    never offers them. Each id is judged once, when it is interned, the
-    tautology test of a G or F child cached per id. ``ids`` maps each key to
-    its id and ``rules`` holds each id's rule; the repair slot tables read
-    both directly. An id's formula (:meth:`decode`) and its tie-break key
-    (:meth:`tie_key`) are made when first asked for, once.
+    Ids. :meth:`intern` gives a key its id, and :meth:`formula_id` interns a
+    formula's subformulas bottom-up. ``ids`` maps each key to its id and
+    ``keys`` holds each id's key; the repair slot tables read both directly.
+    An id's formula (:meth:`decode`) is made when first asked for, once. The
+    store judges nothing: which ids are trivial, and how incumbents tie, is
+    the repair search's to decide (:mod:`janaka.repair`).
 
     Vectors. A literal's vector over the sample is made once per (label,
     kind) and an unresolved hole's (lows, highs) once per height, with
@@ -232,12 +194,8 @@ class EvalStore:
         else:
             self.states, self.segments, self.starts = sample.states, sample.segments, sample.starts
         self.ids: dict = {}
-        self._keys: list = []
-        self._propositional: list[bool] = []
-        self.rules: list[str | None] = []
-        self._tautologies: dict[int, bool] = {}
+        self.keys: list = []
         self._formulas: dict[int, Formula] = {}
-        self._tie_keys: dict[int, tuple[int, str]] = {}
         self.values: dict[int, array] = {}
         self._truths: dict[int, bytes] = {}
         self._literals: dict[tuple[str, str], list | bytes] = {}
@@ -245,86 +203,35 @@ class EvalStore:
 
     # --- ids
 
-    def _intern(self, key, propositional: bool, rule: str | None) -> int:
-        vid = self.ids[key] = len(self._keys)
-        self._keys.append(key)
-        self._propositional.append(propositional)
-        self.rules.append(rule)
-        return vid
-
-    def literal_id(self, label: str) -> int:
-        """The id of a literal label, ``p`` or ``!p``."""
-        vid = self.ids.get(label)
-        if vid is None:
-            vid = self._intern(label, True, None)
-        return vid
-
-    def node_id(self, op: Op, key: tuple) -> int:
-        """The id of an operator node's key, (label, *child ids)."""
+    def intern(self, key) -> int:
+        """The id of a key: a literal's label (``p`` or ``!p``), or an
+        operator node's label and its children's ids, as a tuple."""
         vid = self.ids.get(key)
-        return self.judge(op, key) if vid is None else vid
-
-    def judge(self, op: Op, key: tuple) -> int:
-        """Interns an operator node's key that has no id yet, judged by the
-        closed-subtree rules."""
-        kids = key[1:]
-        props, rules = self._propositional, self.rules
-        propositional, rule = op.label not in _TEMPORAL, None
-        for k in kids:
-            propositional = propositional and props[k]
-            rule = rule or rules[k]  # the first trivial child's
-        if rule is None:
-            if op.arity == 2:
-                left, right = kids
-                if left == right:
-                    rule = IDENTICAL
-                elif op.label in (AND, OR) and self._complementary(left, right):
-                    rule = COMPLEMENT
-            elif op.label in STACKING and props[kids[0]] and self._tautology(kids[0]):
-                rule = TAUTOLOGY
-        return self._intern(key, propositional, rule)
+        if vid is None:
+            vid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return vid
 
     def formula_id(self, f: Formula) -> int:
         """The id of a formula, its subformulas interned bottom-up; a negated
         atom is a literal."""
         op = op_of(f)
         if op.arity == 0:
-            return self.literal_id(f.name)
+            return self.intern(f.name)
         if op is NOT and isinstance(f.child, Atom):
-            return self.literal_id(NEGATION + f.child.name)
-        return self.node_id(op, (op.label, *map(self.formula_id, children(f))))
-
-    def _complementary(self, a: int, b: int) -> bool:
-        # x and !x are literals: only a literal's key is its label
-        x, y = self._keys[a], self._keys[b]
-        return isinstance(x, str) and isinstance(y, str) and (
-            y == NEGATION + x or x == NEGATION + y)
-
-    def _tautology(self, vid: int) -> bool:
-        out = self._tautologies.get(vid)
-        if out is None:
-            out = self._tautologies[vid] = _tautology(self.decode(vid))
-        return out
+            return self.intern(NEGATION + f.child.name)
+        return self.intern((op.label, *map(self.formula_id, children(f))))
 
     def decode(self, vid: int) -> Formula:
         """The formula of an id."""
         out = self._formulas.get(vid)
         if out is None:
-            key = self._keys[vid]
+            key = self.keys[vid]
             if isinstance(key, str):
                 out = decode_label(key)
             else:
                 out = OPS[key[0]].cls(*[self.decode(k) for k in key[1:]])
             self._formulas[vid] = out
-        return out
-
-    def tie_key(self, vid: int) -> tuple[int, str]:
-        """The repair incumbent's tie-break key of an id's formula: its node
-        count, then its canonical text, made once per id."""
-        out = self._tie_keys.get(vid)
-        if out is None:
-            f = self.decode(vid)
-            out = self._tie_keys[vid] = (node_count(f), format_formula(f))
         return out
 
     # --- vectors
@@ -335,7 +242,7 @@ class EvalStore:
         kind = kind or self.params.kind
         out = self._literals.get((label, kind))
         if out is None:
-            # as janaka.ops.literal_values, a negated atom from the atom's
+            # a negated atom from the atom's
             if label.startswith(NEGATION):
                 out = getattr(NOT, kind)(self.params, self.literal(label[1:], kind))
             else:
@@ -371,7 +278,7 @@ class EvalStore:
         memo = self._truths if qualitative else self.values
         out = memo.get(vid)
         if out is None:
-            key = self._keys[vid]
+            key = self.keys[vid]
             if isinstance(key, str):
                 return self.literal(key, kind)
             kids = [self.vector(k, kind) for k in key[1:]]

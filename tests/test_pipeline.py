@@ -180,8 +180,10 @@ class TestBenchRun:
         ("alpha", "2"),  # fails SemanticsParams' check
         ("count", "ten"),  # fails its cast, before traces are drawn
         ("node_limit", "0"),  # fails SearchBudget's check
+        ("expect_sat", "maybe"),  # neither true nor false, so no check is dropped
+        ("formula", "G(true)"),  # names no atom, so no proposition set
     ])
-    def test_a_bad_setting_becomes_an_error_row_naming_it(self, tmp_path, key, value):
+    def test_a_bad_setting_becomes_an_error_row_naming_it(self, tmp_path, capsys, key, value):
         case_copy("case3", tmp_path / "bad", **{key: value})
         case_copy("case5", tmp_path / "good")
         suite = pipeline.bench_run(tmp_path)
@@ -189,6 +191,8 @@ class TestBenchRun:
         assert bad["error"].startswith("ConfigError:") and key in bad["error"]
         assert bad["ok"] is False
         assert good["case"] == "good" and "error" not in good
+        assert cli.main(["bench", "--suite", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_a_case_without_formula_or_explanation_becomes_an_error_row(self, tmp_path, capsys):
         case_copy("case5", tmp_path / "a-good")

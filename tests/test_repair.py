@@ -34,7 +34,7 @@ from janaka.repair import (
     repair,
     triviality_filter,
 )
-from janaka.ops import FINALLY, IMPLIES, OPS, OR, UNTIL, arity, evaluate, literal_values
+from janaka.ops import FINALLY, IMPLIES, OPS, OR, UNTIL, arity, evaluate
 from janaka.semantics import (
     DISCOUNTED,
     ROBUST,
@@ -513,7 +513,9 @@ def _intervals(view, assignment, states, p, i):
         return los, his
     op = OPS.get(label)
     if op is None:
-        vals = literal_values(label, states, p)
+        # a literal's values, by the per-trace evaluator: an atom's kernel,
+        # a negated one's under the negation kernel
+        vals = evaluate(decode_label(label), states, p.kind, p)
         return vals, vals
     kids = [_intervals(view, assignment, states, p, 2 * i + k) for k in range(op.arity)]
     return op.interval(p, *kids)
@@ -627,11 +629,14 @@ class TestSlotTables:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([ROBUST, DISCOUNTED]),
-           st.sampled_from(STRATEGIES))
-    def test_stamped_verdict_equals_filter(self, seed, kind, strategy):
+           st.sampled_from(STRATEGIES), st.booleans())
+    def test_stamped_verdict_equals_filter(self, seed, kind, strategy, pre_interned):
         # every leaf the search reaches (GG/FF already cut), queried out of
         # order and with revisits, between bound and fitness queries that
-        # drop the same entries
+        # drop the same entries; every closed cut the search reads on the
+        # way, before the leaf's own verdict. Pre-interned, every leaf's
+        # formula has an id in the store before the table reads a rule, as
+        # the ranking of a run leaves it: the ids are judged on read
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         [template] = make_templates(
@@ -642,10 +647,14 @@ class TestSlotTables:
             return
         sample, params = random_sample(rng, props), random_params(rng, kind)
         view = _View(template, props)
-        table = _SlotTable(template, sample, params)
         leaves = [dict(a) for a in itertools.islice(walk(template, props), 2000)]
         if not leaves:
             return
+        store = EvalStore(sample, params)
+        if pre_interned:
+            for a in leaves:
+                store.formula_id(_decode(view.m, a))
+        table = _SlotTable(template, store=store)
         queries = rng.sample(leaves, min(60, len(leaves)))
         holes = list(template.hole_indices)
         formulas, ids = {}, {}
@@ -654,6 +663,12 @@ class TestSlotTables:
             if rng.random() < 0.3:
                 bound_at(table, {i: a[i] for i in holes if rng.random() < 0.5})
             apply(table, a)
+            for closed in view.closing:
+                slot = view.m.get(closed)
+                if slot is None or (a[closed] if isinstance(slot, Hole) else slot.label) is None:
+                    continue  # no closing slot, or an unused one
+                cut = table.rule(table.verdict(closed)) is not None
+                assert cut == triviality_filter(_decode(view.m, a, closed))
             vid = table.verdict()
             formula = table.decode(vid)
             assert formula == _decode(view.m, a)

@@ -158,8 +158,9 @@ class TestIds:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_tie_key_is_the_node_count_and_the_text(self, seed):
-        # the incumbent's key read per id equals the one read off the
-        # decoded formula, for template fillings and for any formula
+        # the incumbent's key, which the search's slot table reads per id,
+        # equals the one read off the decoded formula, for template fillings
+        # and for any formula the store interned outside the table
         rng = random.Random(seed)
         props = PropositionSet(["p", "q", "r"][: rng.randint(2, 3)])
         source = random_formula(rng, depth=rng.randint(2, 3), atoms=list(props), mode="nnf")
@@ -170,12 +171,12 @@ class TestIds:
         for _ in itertools.islice(_assignments(_View(template, props, cut=False), table), 200):
             vid = table.verdict()
             f = table.formula()
-            assert store.tie_key(vid) == (node_count(f), format_formula(f))
+            assert table.tie_key(vid) == (node_count(f), format_formula(f))
         for _ in range(10):
             f = random_formula(rng, depth=rng.randint(1, 4), atoms=list(props))
             vid = store.formula_id(f)
             assert store.decode(vid) == f
-            assert store.tie_key(vid) == (node_count(f), format_formula(f))
+            assert table.tie_key(vid) == (node_count(f), format_formula(f))
 
     def test_templates_of_one_run_share_ids(self):
         # (p -> q), interned and computed while template 0 is searched, is
