@@ -26,7 +26,6 @@ from .milp import export_milp
 from .pipeline import (
     CHOICES,
     RunConfig,
-    _outcome_dict,
     bench_run,
     cast_setting,
     checked,
@@ -34,6 +33,7 @@ from .pipeline import (
     format_bench_table,
     janaka_run,
     load_sample,
+    outcome_dict,
     setting_cast,
 )
 from .repair import SearchBudget, repair
@@ -162,8 +162,7 @@ def cmd_repair(args) -> int:
     sample = load_sample(cfg)
     templates = [parse_template(t) for t in args.template]
     outcome = repair(sample, templates, cfg.semantics, kappa=cfg.kappa, budget=cfg.budget)
-    _write_out(json.dumps(_outcome_dict(outcome, None), indent=2, sort_keys=True) + "\n",
-               args.out)
+    _write_out(json.dumps(outcome_dict(outcome), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if outcome.threshold_met else EXIT_BEST_EFFORT
 
 

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyInputError,
+    EmptyTraceError,
     FormulaSyntaxError,
     UnknownAtomError,
     UnsupportedNegationError,
@@ -351,14 +352,6 @@ def to_nnf(f: Formula) -> Formula:
 
 # --- qualitative finite-trace satisfaction ----------------------------------
 
-def _states_of(w) -> tuple[frozenset, ...]:
-    # a Trace froze its states when it was made; a raw sequence is frozen here
-    states = getattr(w, "states", None)
-    if states is not None:
-        return states
-    return tuple(frozenset(s) for s in w)
-
-
 def satisfaction_vector(f: Formula, states: Sequence[frozenset]) -> list[bool]:
     """v[i] == (suffix of the word starting at i satisfies f).
 
@@ -368,12 +361,20 @@ def satisfaction_vector(f: Formula, states: Sequence[frozenset]) -> list[bool]:
     return evaluate(f, states, "qualitative")
 
 
+def evaluate_trace(f: Formula, w, kind: str, p=None):
+    """:func:`janaka.ops.evaluate` of f over one Trace or sequence of states
+    (frozen here); an empty trace raises EmptyTraceError."""
+    states = getattr(w, "states", None)
+    if states is None:
+        states = tuple(frozenset(s) for s in w)
+    if not states:
+        raise EmptyTraceError("cannot evaluate on an empty trace")
+    return evaluate(f, states, kind, p)
+
+
 def eval_qualitative(f: Formula, w) -> bool:
     """w |= f at position 0, under the finite-domain reading."""
-    states = _states_of(w)
-    if not states:
-        raise ValueError("cannot evaluate on an empty trace")
-    return satisfaction_vector(f, states)[0]
+    return evaluate_trace(f, w, "qualitative")[0]
 
 
 def decode_label(label: str) -> Formula:

@@ -2,8 +2,11 @@
 
 The native repair search is the reference optimizer; this export exists for
 interoperability and cross-validation. The model has one binary x_{i,label}
-per slot and admissible label, continuous scores y_{i,t,trace}, and the
-objective maximizes the summed root scores over the sample. Label-to-equation
+per slot and label of its alphabet: a Fixed slot's label, a hole's labels
+from :meth:`~janaka.templates.Template.labels_for`, the ones the search offers;
+a template :meth:`~janaka.templates.Template.check` refuses is not exported.
+It has continuous scores y_{i,t,trace}, and the objective maximizes the
+summed root scores over the sample. Label-to-equation
 linking is indicator-style, realized as big-M inequality pairs gated on
 binaries that must be 1 and binaries that must be 0, so no complement binary
 is ever made; min/max terms are linearized with selector binaries; big-M
@@ -551,6 +554,7 @@ def export_milp(template: Template, sample: Sample, params: SemanticsParams, d: 
         raise DepthExceededError(
             f"encoding depth {d} is below the template depth {template.depth}"
         )
+    template.check(sample.props)
     enc = _Encoder(template, sample, params)
     e = enc.e
     e.comments.append(

@@ -173,7 +173,8 @@ def _params_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _outcome_dict(outcome: RepairOutcome, strategy: str | None) -> dict:
+def outcome_dict(outcome: RepairOutcome) -> dict:
+    """A repair outcome as the reports print it."""
     return {
         "formula": format_formula(outcome.best.formula) if outcome.best else None,
         "fitness": outcome.fitness if outcome.best else None,
@@ -183,7 +184,7 @@ def _outcome_dict(outcome: RepairOutcome, strategy: str | None) -> dict:
         "elapsed": outcome.elapsed,
         "threshold_met": outcome.threshold_met,
         "budget_expired": outcome.budget_expired,
-        "strategy": strategy,
+        "strategy": outcome.strategy,
         "stats": asdict(outcome.stats),
     }
 
@@ -246,7 +247,6 @@ def janaka_run(
 
     best_fit = ranked[0][1]
     best_outcome: RepairOutcome | None = None
-    best_strategy: str | None = None
     chosen = cand_rows[0]["formula"]
     if best_fit >= cfg.kappa:
         path = "llm-direct"
@@ -289,11 +289,9 @@ def janaka_run(
             )
             outcome.strategy = strategy
             nodes_left -= outcome.explored
-            if best_outcome is None or (
-                outcome.best is not None
-                and (best_outcome.best is None or outcome.fitness > best_outcome.fitness)
-            ):
-                best_outcome, best_strategy = outcome, strategy
+            # an outcome with no formula has fitness -inf
+            if best_outcome is None or outcome.fitness > best_outcome.fitness:
+                best_outcome = outcome
             if outcome.threshold_met or time.monotonic() >= deadline or nodes_left <= 0:
                 break
 
@@ -313,7 +311,7 @@ def janaka_run(
         formula=chosen,
         path=path,
         candidates=cand_rows,
-        repair=_outcome_dict(best_outcome, best_strategy) if best_outcome else None,
+        repair=outcome_dict(best_outcome) if best_outcome else None,
         params=_params_echo(cfg),
         timings={
             "llm_seconds": t_llm - t_start,

@@ -9,12 +9,12 @@ tie-break: fewer nodes, then canonical text).
 
 Enumeration. Each template is compiled once (:class:`_View`) into its holes in
 index (breadth-first) order and, per hole and per label of its parent, the
-labels the hole may take: operators before literals, in the order of
-:meth:`janaka.templates.Template.labels_for`, or only "unused" (None) where
-the parent's arity does not reach the hole. Labels that would leave a fixed
-slot below them unreached are dropped when compiling, so no branch dies
-later. One explicit stack walks the hole decisions (:func:`_assignments`);
-fixed slots take no step.
+labels the hole may take: its alphabet, operators before literals, as
+:meth:`janaka.templates.Template.labels_for` gives it (no label that leaves a
+fixed slot below it unreached, and never "unused" for a hole with one below),
+or only "unused" (None) where the parent's arity does not reach the hole; so
+no branch dies later. One explicit stack walks the hole decisions
+(:func:`_assignments`); fixed slots take no step.
 
 Branching is best bound first, per hole. When the search reaches a hole that
 is not the last one and has more to offer than "unused", it sets each offered
@@ -126,11 +126,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
-from .errors import (
-    NoTemplatesError,
-    UnknownAtomError,
-    UnsupportedNegationError,
-)
+from .errors import NoTemplatesError
 from .formulas import (
     TRUE_ATOM,
     And,
@@ -324,11 +320,8 @@ class _View:
             for i, slot in template.slots
         )
         step_of = {i: h for h, i in enumerate(template.hole_indices)}
-        fixed_below: dict[int, bool] = {}
         last_step: dict[int, int] = {}  # the step of the last hole in each subtree
         for i in sorted(m, reverse=True):
-            fixed_below[i] = (isinstance(m[i], Fixed) or fixed_below.get(2 * i, False)
-                              or fixed_below.get(2 * i + 1, False))
             last_step[i] = max(step_of.get(i, -1), last_step.get(2 * i, -1),
                                last_step.get(2 * i + 1, -1))
         self.closing = []
@@ -341,18 +334,13 @@ class _View:
             self.closing.append(i if i > 1 and 2 * i in m else 0)
         self.steps = []
         for i in template.hole_indices:
-            # a label must reach every child that has a fixed slot below it
-            own = [
-                lbl for lbl in template.labels_for(i, props)
-                if (arity(lbl) >= 1 or not fixed_below.get(2 * i, False))
-                and (arity(lbl) == 2 or not fixed_below.get(2 * i + 1, False))
-            ]
+            own = template.labels_for(i, props)
             withheld = 0
             below = m.get(2 * i)
             if cut and isinstance(below, Fixed) and below.label in STACKING and below.label in own:
                 own.remove(below.label)
                 withheld = 1
-            unused = ((), 0) if fixed_below[i] else ((None,), 0)
+            unused = ((), 0) if i in template.fixed_below else ((None,), 0)
 
             def offer(parent_label):
                 # the root is always reached, a left child by any operator,
@@ -786,25 +774,6 @@ def bound_mean_fitness(table: _SlotTable) -> float:
 # --- the search -------------------------------------------------------------------
 
 
-def _validate_templates(templates, props):
-    for t in templates:
-        for _, slot in t.slots:
-            labels = ()
-            if isinstance(slot, Fixed):
-                if slot.label == NEGATION:
-                    # the slot tables evaluate the tree as given, never its NNF
-                    raise UnsupportedNegationError("templates carry literal negation only")
-                labels = (slot.label,)
-            elif slot.allowed:
-                labels = slot.allowed
-            for lbl in labels:
-                if lbl in OPS:
-                    continue
-                name = lbl[1:] if lbl.startswith("!") else lbl
-                if name != TRUE_ATOM and name not in props:
-                    raise UnknownAtomError(name, list(props))
-
-
 def _scores(f: Formula, store: EvalStore):
     """(fitness, per-trace values, per-trace satisfaction) of an NNF formula:
     its vectors under the store's semantics and the qualitative one, read at
@@ -839,7 +808,8 @@ def repair(
     and these parameters; a call given none makes its own."""
     if not templates:
         raise NoTemplatesError("repair needs at least one template")
-    _validate_templates(templates, sample.props)
+    for template in templates:
+        template.check(sample.props)
     store = store_for(store, sample, params)
 
     deadline = time.monotonic() + budget.time_limit

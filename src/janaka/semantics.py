@@ -1,10 +1,11 @@
 """Robust and discounted quantitative valuations over finite traces.
 
-Both valuations walk the formula bottom-up (:func:`janaka.ops.evaluate`): for
-each subformula they compute the value at every suffix position of the word,
-so the value of ``f`` on ``w`` is the root vector at position 0. The cases of
-each operator are the kernels of the operator table, whose docstring
-(:mod:`janaka.ops`) summarizes both semantics.
+Both valuations walk the formula bottom-up (:func:`janaka.ops.evaluate`, over
+one trace through :func:`janaka.formulas.evaluate_trace`, which refuses an
+empty one): for each subformula they compute the value at every suffix
+position of the word, so the value of ``f`` on ``w`` is the root vector at
+position 0. The cases of each operator are the kernels of the operator
+table, whose docstring (:mod:`janaka.ops`) summarizes both semantics.
 
 :func:`sample_fitness`, which ranks candidates and scores results, makes one
 such walk over the whole sample in the flat layout the
@@ -35,14 +36,14 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyTraceError, NotInNNFError
+from .errors import NotInNNFError
 from .formulas import (
     Atom,
     Formula,
-    _states_of,
     children,
     decode_label,
     eval_qualitative,  # noqa: F401  (kept for perfbench's span tracer, which wraps it here)
+    evaluate_trace,
     is_nnf,
     to_nnf,
 )
@@ -53,7 +54,6 @@ from .ops import (
     OPS,
     ROBUST,
     LITERAL,
-    evaluate,
     op_of,
 )
 from .traces import Sample, Trace, start_mean
@@ -87,20 +87,13 @@ class Valuation:
     decisive: bool
 
 
-def _vector(f: Formula, w, kind: str, p: SemanticsParams):
-    states = _states_of(w)
-    if not states:
-        raise EmptyTraceError("cannot evaluate on an empty trace")
-    return evaluate(f, states, kind, p)
-
-
 def robust_value(f: Formula, w, p: SemanticsParams) -> Valuation:
     """Robust valuation of an NNF formula at position 0 of a non-empty trace."""
     if p.kind != ROBUST:
         raise ValueError("params.kind must be 'robust'")
     if not is_nnf(f):
         raise NotInNNFError(f"not in negation normal form: {f}")
-    vals, flags = _vector(f, w, "robust_pair", p)
+    vals, flags = evaluate_trace(f, w, "robust_pair", p)
     return Valuation(vals[0], flags[0])
 
 
@@ -108,7 +101,7 @@ def discounted_value(f: Formula, w, p: SemanticsParams) -> Valuation:
     """Discounted valuation in [0,1]; general negation allowed; always decisive."""
     if p.kind != DISCOUNTED:
         raise ValueError("params.kind must be 'discounted'")
-    return Valuation(_vector(f, w, DISCOUNTED, p)[0], True)
+    return Valuation(evaluate_trace(f, w, DISCOUNTED, p)[0], True)
 
 
 # --- sample-level fitness -------------------------------------------------------

@@ -2,8 +2,17 @@
 
 A template is an indexed complete-binary-tree whose slots are Fixed(label),
 Hole(allowed-labels), or absent (unused). A Hole may be filled by any label
-its position's structural constraints admit, or left unused when the parent's
-arity does not reach it; `allowed` restricts the label alphabet (None = any).
+of its alphabet, or left unused when the parent's arity does not reach it;
+`allowed` restricts the alphabet (None = any).
+
+:class:`Template` owns what a template admits, for the repair search and the
+MILP export alike. A hole's alphabet (:meth:`Template.labels_for`) is the
+labels that reach every Fixed slot below it: binary operators when both
+children exist, unary ones when the left exists and no Fixed slot lies below
+the right, literals when none lies below either; then those its allowed set
+holds. A hole with a Fixed slot below it is never unused. :meth:`Template.check`
+refuses an atom outside the proposition set, in a Fixed label or an allowed
+set, and a Fixed general negation.
 
 Hole-producing rules, applied to a visited node of the source tree:
 
@@ -31,7 +40,12 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DepthExceededError, FormulaSyntaxError, UnsupportedNegationError
+from .errors import (
+    DepthExceededError,
+    FormulaSyntaxError,
+    UnknownAtomError,
+    UnsupportedNegationError,
+)
 from .formulas import (
     Formula,
     HoleNode,
@@ -41,7 +55,7 @@ from .formulas import (
     is_literal,
     parse_holes,
 )
-from .ops import BINARY_OPS, NOT, UNARY_OPS, arity, children, op_of
+from .ops import BINARY_OPS, NEGATION, NOT, OPS, TRUE_ATOM, UNARY_OPS, arity, children, op_of
 
 RANDOM = "random"
 WITH_GF = "withgf"
@@ -137,26 +151,47 @@ class Template:
             out[i] = 1 + max(out.get(2 * i, 0), out.get(2 * i + 1, 0))
         return out
 
+    @cached_property
+    def fixed_below(self) -> frozenset[int]:
+        """The slots with a Fixed slot in their subtree, themselves included."""
+        out: set[int] = set()
+        for i, slot in reversed(self.slots):
+            if isinstance(slot, Fixed) or 2 * i in out or 2 * i + 1 in out:
+                out.add(i)
+        return frozenset(out)
+
     def labels_for(self, i: int, props: PropositionSet) -> list[str]:
-        """Labels hole i admits, in enumeration order: binary operators when
-        both child slots exist, unary ones when the left exists and the right
-        is a hole or absent, literals when both are; then only those in the
-        hole's allowed set."""
-        m = self.slot_map
-        left, right = m.get(2 * i), m.get(2 * i + 1)
-        left_open = left is None or isinstance(left, Hole)
-        right_open = right is None or isinstance(right, Hole)
+        """Hole i's alphabet in enumeration order (module docstring)."""
+        m, fixed = self.slot_map, self.fixed_below
+        left, right = 2 * i, 2 * i + 1
         out = []
-        if left is not None and right is not None:
+        if left in m and right in m:
             out.extend(BINARY_OPS)
-        if left is not None and right_open:
+        if left in m and right not in fixed:
             out.extend(UNARY_OPS)
-        if left_open and right_open:
+        if left not in fixed and right not in fixed:
             out.extend(literal_labels(props))
         allowed = m[i].allowed
         if allowed is not None:
             out = [lbl for lbl in out if lbl in allowed]
         return out
+
+    def check(self, props: PropositionSet) -> None:
+        """Refuse an atom outside props (UnknownAtomError) and a Fixed
+        general negation (UnsupportedNegationError)."""
+        for _, slot in self.slots:
+            labels = ()
+            if isinstance(slot, Fixed):
+                if slot.label == NEGATION:
+                    # the search and the export read the tree as given, never its NNF
+                    raise UnsupportedNegationError("templates carry literal negation only")
+                labels = (slot.label,)
+            elif slot.allowed:
+                labels = slot.allowed
+            for lbl in labels:
+                name = lbl.removeprefix(NEGATION)
+                if lbl not in OPS and name != TRUE_ATOM and name not in props:
+                    raise UnknownAtomError(name, list(props))
 
 
 def _embed(f, index: int, slots: dict[int, Slot], nodes: list):

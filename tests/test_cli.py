@@ -205,6 +205,18 @@ class TestBadSettings:
         assert sum(provider.calls for provider in made) == 0
 
 
+def test_export_milp_refuses_an_unknown_atom(capsys, tmp_path):
+    # exit 4 with an error line, as `janaka repair` on the same template
+    traces = tmp_path / "traces.txt"
+    traces.write_text("p,!q;!p,q#\n")
+    for command in ("export-milp", "repair"):
+        code = cli.main([command, "--traces", str(traces), "--template", "G((zz ? ?<1>))"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "error: unknown atom 'zz'" in err
+        assert "Traceback" not in err
+
+
 # the bundled table1 suite's rows, the runtime column aside
 TABLE1_ROWS = """\
 case               LLM formula                                SAT       FIT   repaired formula                               SAT       FIT

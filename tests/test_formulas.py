@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from janaka.errors import (
     EmptyInputError,
+    EmptyTraceError,
     FormulaSyntaxError,
     UnknownAtomError,
     UnsupportedNegationError,
@@ -155,6 +156,11 @@ class TestQualitative:
         all_p = [frozenset({"p"})] * 3
         assert eval_qualitative(Globally(p), all_p) is True
         assert eval_qualitative(Next(p), [frozenset({"p"})]) is False
+
+    def test_empty_trace(self):
+        # the same error as the robust and discounted valuations raise
+        with pytest.raises(EmptyTraceError):
+            eval_qualitative(Atom("p"), [])
 
     def test_strong_until_needs_witness(self):
         p, q = atoms("p", "q")

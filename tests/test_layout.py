@@ -1,6 +1,6 @@
 """The flat trace layout: every kernel over several traces concatenated, with
 their (start, end) segments, against the same kernel called trace by trace,
-and sample_fitness against the per-trace loop it replaced, kept here verbatim.
+and sample_fitness against the per-trace loop it replaced, kept here.
 
 Results must be equal bit for bit: values are compared by repr, which tells
 -0.0 from 0.0 and prints every float exactly."""
@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janaka.errors import EmptySampleError, EmptyTraceError
-from janaka.formulas import PropositionSet, is_nnf, to_nnf
+from janaka.formulas import PropositionSet, evaluate_trace, is_nnf, to_nnf
 from janaka.ops import OPS, evaluate
-from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, _vector, sample_fitness
+from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, sample_fitness
 from janaka.traces import Sample, Trace
 
 from gen import random_formula, random_trace, random_word
@@ -159,7 +159,8 @@ class TestEvaluate:
             same(got, flat(want))
 
 
-# --- reference: sample_fitness before the flat layout, verbatim ------------------
+# --- reference: sample_fitness before the flat layout ------------------------------
+# verbatim but for the single-trace walk, which reads formulas.evaluate_trace
 
 
 def per_trace_fitness(f, sample, p):
@@ -170,7 +171,7 @@ def per_trace_fitness(f, sample, p):
     g = to_nnf(f) if p.kind == ROBUST and not is_nnf(f) else f
     total = 0.0
     for w in traces:
-        total += _vector(g, w, p.kind, p)[0]  # the values alone, without decisive flags
+        total += evaluate_trace(g, w, p.kind, p)[0]  # the values alone, without decisive flags
     return total / len(traces)
 
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from janaka.errors import UnsupportedForExportError
+from janaka.errors import UnknownAtomError, UnsupportedForExportError
 from janaka.formulas import PropositionSet, children, format_formula, is_literal, parse_formula
 from janaka.milp import _Emitter, _parse_lp, export_milp, lp_optimum, template_from_lp
-from janaka.ops import arity, evaluate, label_code, op_of
+from janaka.ops import arity, code_label, evaluate, label_code, op_of
 from janaka.repair import enumerate_fillings
 from janaka.semantics import DISCOUNTED, ROBUST, SemanticsParams, value_of
-from janaka.templates import Fixed, make_templates, parse_template
+from janaka.templates import STRATEGIES, Fixed, Hole, Template, make_templates, parse_template
 from janaka.traces import Sample, Trace
 
 from gen import random_formula, random_trace
@@ -238,6 +238,49 @@ class TestClosedSubtrees:
         orig = {format_formula(fl.formula) for fl in enumerate_fillings(t, PQ)}
         back = {format_formula(fl.formula) for fl in enumerate_fillings(template_from_lp(lp), PQ)}
         assert orig == back
+
+
+class TestAlphabet:
+    """The model's binaries are the template's alphabet: every x_ binary a
+    hole declares is taken by some filling, and a template the search
+    refuses is not exported."""
+
+    @staticmethod
+    def untaken(t, sample):
+        lp = export_milp(t, sample, disc(), d=t.depth)
+        declared = set()
+        for var in _parse_lp(lp)[3]:
+            if var.startswith("x_"):
+                _, i, code = var.split("_", 2)
+                declared.add((int(i), code_label(code)))
+        taken = {pair for fl in enumerate_fillings(t, sample.props) for pair in fl.assignment}
+        return declared - taken
+
+    def test_case2_template(self):
+        # slot 2 has fixed children, so no literal fills the root
+        sample = Sample((Trace(states({"q"}, {"r"}, {"p", "s"})),),
+                        PropositionSet(["p", "q", "r", "s"]))
+        assert self.untaken(parse_template("((q ? X(?<1>)) ? ?<1>)"), sample) == set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_made_templates(self, seed):
+        rng = random.Random(seed)
+        f = random_formula(rng, rng.randint(1, 3), ["p", "q"], mode="nnf")
+        t = make_templates(f, d=rng.randint(1, 2), strategy=rng.choice(STRATEGIES),
+                           hole_prob=rng.choice([0.2, 0.5]), seed=seed)[0]
+        sample = Sample((random_trace(rng, rng.randint(1, 2), ["p", "q"]),), PQ)
+        assert self.untaken(t, sample) == set()
+
+    @pytest.mark.parametrize("t", [
+        parse_template("G((zz ? ?<1>))"),
+        Template(2, ((1, Hole(("G", "F"))), (2, Hole(("p", "zz"))))),
+    ], ids=["fixed", "allowed"])
+    def test_unknown_atom_is_refused(self, t):
+        sample = Sample((Trace(states({"p"}, {"q"})),), PQ)
+        for params in (disc(), SemanticsParams(kind=ROBUST)):
+            with pytest.raises(UnknownAtomError):
+                export_milp(t, sample, params, d=t.depth)
 
 
 class TestTemplateRoundTrip:

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import janaka.repair as repair_module
-from janaka.errors import EmptySampleError, NoTemplatesError, UnsupportedNegationError
+from janaka.errors import (
+    EmptySampleError,
+    NoTemplatesError,
+    UnknownAtomError,
+    UnsupportedNegationError,
+)
 from janaka.formulas import (
     Atom,
     Finally,
@@ -930,6 +935,17 @@ class TestSlotTables:
         t = Template(2, ((1, Fixed("!")), (2, Fixed("p"))))
         with pytest.raises(UnsupportedNegationError):
             repair(all_p_sample(), [t], SemanticsParams(kind=ROBUST), kappa=0.0)
+
+    @pytest.mark.parametrize("t", [
+        parse_template("G((zz ? ?<1>))"),
+        Template(2, ((1, Hole(("G", "F"))), (2, Hole(("p", "!zz"))))),
+    ], ids=["fixed", "allowed"])
+    def test_unknown_atom_is_refused(self, t):
+        # one well-formed template first: the check reads every template
+        # before the search starts
+        templates = [parse_template("G(?<1>)"), t]
+        with pytest.raises(UnknownAtomError):
+            repair(all_p_sample(), templates, SemanticsParams(kind=ROBUST), kappa=0.0)
 
 
 # robust labels whose interval rows widen a point (ops.py docstring)

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janaka.errors import DepthExceededError, FormulaSyntaxError, UnsupportedNegationError
+from janaka.errors import (
+    DepthExceededError,
+    FormulaSyntaxError,
+    UnknownAtomError,
+    UnsupportedNegationError,
+)
 from janaka.formulas import (
     Atom,
     Globally,
@@ -229,3 +234,44 @@ class TestValidation:
     def test_unary_right_child_must_not_be_fixed(self):
         with pytest.raises(ValueError):
             Template(2, ((1, Fixed("G")), (2, Fixed("p")), (3, Fixed("q"))))
+
+
+class TestAlphabet:
+    def test_a_label_reaches_every_fixed_slot_below(self):
+        # case2's d=1 template: slot 2 has fixed children, so the root takes
+        # no literal, and slot 2 only a binary operator
+        t = parse_template("((q ? X(?<1>)) ? ?<1>)")
+        assert t.labels_for(1, PQRS) == ["&", "|", "->", "U", "G", "F", "X"]
+        assert t.labels_for(2, PQRS) == ["&", "|", "->", "U"]
+        assert t.labels_for(3, PQRS) == ["p", "!p", "q", "!q", "r", "!r", "s", "!s"]
+        assert t.fixed_below == {1, 2, 4, 5}
+
+    def test_fixed_below_a_right_child_rules_out_unary(self):
+        t = Template(3, ((1, Hole()), (2, Hole()), (3, Hole()), (6, Fixed("p"))))
+        assert t.labels_for(1, PQ) == ["&", "|", "->", "U"]
+        assert t.labels_for(3, PQ) == ["G", "F", "X"]
+
+    def test_allowed_set_filters_the_alphabet(self):
+        t = parse_template("?{G,F}(p)")
+        assert t.labels_for(1, PQ) == ["G", "F"]
+
+
+class TestCheck:
+    @pytest.mark.parametrize("t", [
+        parse_template("G((zz ? ?<1>))"),
+        parse_template("G(!zz)"),
+        Template(1, ((1, Hole(("p", "zz"))),)),
+        Template(1, ((1, Hole(("p", "!zz"))),)),
+    ], ids=["fixed", "fixed-negated", "allowed", "allowed-negated"])
+    def test_unknown_atom(self, t):
+        with pytest.raises(UnknownAtomError) as info:
+            t.check(PQ)
+        assert info.value.name == "zz"
+
+    def test_known_atoms_operators_and_true_pass(self):
+        for text in ("G((p ? ?<1>))", "?{G,F}((true | !q))"):
+            parse_template(text).check(PQ)
+
+    def test_negation_slot(self):
+        with pytest.raises(UnsupportedNegationError):
+            Template(2, ((1, Fixed("!")), (2, Fixed("p")))).check(PQ)
